@@ -147,10 +147,10 @@ run()
     }
 
     // Serving-engine ladder on the multi-encoder workloads: the
-    // static batch-and-hold engine vs continuous batching with
+    // unbatched engine vs queue batching (max batch 8) with
     // stage-level pipelining vs the same plus in-flight wave-boundary
     // re-merge, swept over the same offered-load ladder. The
-    // continuous engine re-forms batches from whatever is queued
+    // batching engine re-forms batches from whatever is queued
     // (amortising per-request graph overhead under load) and overlaps
     // one request's encoder wave with another's fusion/head stages;
     // re-merge additionally lets a batch absorb a compatible batch at
@@ -161,7 +161,7 @@ run()
     // before the JSONL sink closes, so the raw records land in the
     // shared file.
     static const char *const kEngines[] = {
-        "static", "continuous+pipe", "continuous+pipe+remerge"};
+        "unbatched", "batch8+pipe", "batch8+pipe+remerge"};
     TextTable pipe_table({"Workload", "Engine", "Offered rps",
                           "Achieved rps", "p99", "Goodput rps",
                           "Batches", "Merged waves"});
@@ -189,7 +189,6 @@ run()
             runner::RunSpec engine = anchor;
             engine.arrival = pipeline::ArrivalKind::Poisson;
             if (engine_name != kEngines[0]) {
-                engine.batcher = pipeline::BatcherKind::Continuous;
                 engine.maxBatch = 8;
                 engine.pipelineServe = true;
                 engine.remerge = engine_name == kEngines[2];
@@ -236,11 +235,11 @@ run()
     benchutil::emitTable(pipe_table, "load_pipeline");
     benchutil::note(
         "serving-engine ladder on the multi-encoder workloads: "
-        "continuous batching + stage-level pipelining (--batcher "
-        "continuous --max-batch 8 --pipeline on), with and without "
-        "in-flight wave-boundary re-merge (--remerge on), vs the "
-        "static engine at the same offered rates; per-request outputs "
-        "are bitwise identical across all three engines.");
+        "queue batching + stage-level pipelining (--max-batch 8 "
+        "--pipeline on), with and without in-flight wave-boundary "
+        "re-merge (--remerge on), vs the unbatched engine at the same "
+        "offered rates; per-request outputs are bitwise identical "
+        "across all three engines.");
 
     // Per-engine SLO metric: the max swept rate whose p99 held the
     // target, side by side — the serving-scheduler win condition.
@@ -271,8 +270,8 @@ run()
         benchutil::emitTable(pipe_slo, "load_pipeline_slo");
         benchutil::note(strfmt(
             "max sustainable rate with p99 <= %.1f ms per serving "
-            "engine: the pipelined continuous batcher should sustain "
-            "a higher rate than the static engine on these "
+            "engine: the pipelined batching engine should sustain "
+            "a higher rate than the unbatched engine on these "
             "multi-encoder workloads.", benchutil::sloMs()));
     }
 

@@ -460,7 +460,7 @@ opsMicroMain(int argc, char **argv)
     // stage tensors along dim 0 at a wave boundary and narrows the
     // sink back per request at retirement. Both are pure row copies
     // (read + write every float), measured here at the batch
-    // geometries the continuous batcher actually produces: raw
+    // geometries the serve dispatcher actually produces: raw
     // modality inputs ([B, 512]-ish) and encoder feature maps.
     {
         Tensor a = Tensor::randn(Shape{4, 4096}, rng);

@@ -121,14 +121,14 @@ MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" fig --id load --smoke \
     --json "$BUILD_DIR/BENCH_serve_openloop.jsonl"
 
 # Pipelined-serve leg: the same saturating arrival stream on a
-# multi-encoder workload — the static one-request-per-call engine vs
-# continuous batching + stage-level pipelining. Three paired passes,
+# multi-encoder workload — the unbatched one-request-per-call engine
+# vs queue batching (--max-batch 8) + stage-level pipelining. Three paired passes,
 # judged at each engine's best-of-three p99: one pass is preemption-
 # noisy on a loaded CI host while the batching win is a steady
 # fraction. Validated below: every clean run completes every request
 # Ok, per-request outputs are engine-independent (pinned by
 # test_pipeline's bitwise tests), and the batching engine's p99 must
-# not exceed the static engine's at the same offered load (re-formed
+# not exceed the unbatched engine's at the same offered load (re-formed
 # batches amortize per-request graph overhead precisely when the
 # backlog is deepest).
 for _ in 1 2 3; do
@@ -138,7 +138,7 @@ for _ in 1 2 3; do
         --json "$BUILD_DIR/BENCH_serve_pipeline.jsonl"
     MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
         --mode serve --scale 0.25 --batch 2 --inflight 2 --requests 48 \
-        --arrival fixed --rate 8000 --batcher continuous --max-batch 8 \
+        --arrival fixed --rate 8000 --max-batch 8 \
         --pipeline on --quiet \
         --json "$BUILD_DIR/BENCH_serve_pipeline.jsonl"
 done
@@ -146,31 +146,31 @@ done
 python3 - "$BUILD_DIR/BENCH_serve_pipeline.jsonl" <<'EOF'
 import json, sys
 records = [json.loads(line) for line in open(sys.argv[1])]
-assert len(records) == 6, f"expected 3 static + 3 pipelined runs, got {len(records)}"
-static = [r for r in records if "batcher" not in r["serve"]]
-pipelined = [r for r in records if r["serve"].get("batcher") == "continuous"]
-assert len(static) == 3 and len(pipelined) == 3, (len(static), len(pipelined))
+assert len(records) == 6, f"expected 3 unbatched + 3 pipelined runs, got {len(records)}"
+unbatched = [r for r in records if "pipelined" not in r["serve"]]
+pipelined = [r for r in records if r["serve"].get("pipelined") is True]
+assert len(unbatched) == 3 and len(pipelined) == 3, (len(unbatched), len(pipelined))
 for record in records:
     serve = record["serve"]
     assert serve["ok"] == serve["requests"], (
         f"clean run lost requests: ok={serve['ok']} of {serve['requests']}")
-for record in static:
+for record in unbatched:
     assert "pipelined" not in record["serve"]
 for record in pipelined:
     assert record["serve"]["pipelined"] is True
     assert record["serve"]["batches"] < record["serve"]["requests"], (
-        "continuous batcher formed no multi-request batches at saturation")
-static_p99 = min(r["latency_us"]["p99"] for r in static)
+        "batcher formed no multi-request batches at saturation")
+unbatched_p99 = min(r["latency_us"]["p99"] for r in unbatched)
 pipelined_p99 = min(r["latency_us"]["p99"] for r in pipelined)
-assert pipelined_p99 <= static_p99, (
-    f"pipelined p99 {pipelined_p99:.0f} us worse than static {static_p99:.0f} us")
-print(f"pipelined-serve smoke OK: best-of-3 p99 static {static_p99:.0f} us -> "
-      f"continuous+pipeline {pipelined_p99:.0f} us, "
+assert pipelined_p99 <= unbatched_p99, (
+    f"pipelined p99 {pipelined_p99:.0f} us worse than unbatched {unbatched_p99:.0f} us")
+print(f"pipelined-serve smoke OK: best-of-3 p99 unbatched {unbatched_p99:.0f} us -> "
+      f"batch+pipeline {pipelined_p99:.0f} us, "
       f"{pipelined[0]['serve']['batches']} batches for "
       f"{pipelined[0]['serve']['requests']} requests")
 EOF
 
-# Re-merge leg: a saturating Poisson stream on the continuous+pipeline
+# Re-merge leg: a saturating Poisson stream on the batch+pipeline
 # engine, with and without in-flight wave-boundary re-merge. The batch
 # cap (32) is deliberately wide: re-merge only absorbs a peer while
 # the combined request count stays under the cap, so a tight cap at
@@ -179,8 +179,8 @@ EOF
 # on every pass. Three paired passes, judged at best-of-three p99
 # like the pipelined leg. Validated below: the re-merge passes must
 # actually merge (remerged_waves > 0 summed over the passes), the
-# best-of-passes p99 must stay within noise of the continuous engine
-# alone (shared-runner hosts show up to ~4x p99 jitter between
+# best-of-passes p99 must stay within noise of the batch+pipeline
+# engine alone (shared-runner hosts show up to ~4x p99 jitter between
 # identical serve runs, so the tail gate carries a 1.5x allowance —
 # it exists to catch real regressions, and in quiet windows re-merge
 # meets the strict criterion), and the off-path records must carry no
@@ -188,12 +188,12 @@ EOF
 for _ in 1 2 3; do
     MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
         --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --batcher continuous --max-batch 32 \
+        --arrival poisson --rate 4000 --max-batch 32 \
         --pipeline on --quiet \
         --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
     MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
         --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --batcher continuous --max-batch 32 \
+        --arrival poisson --rate 4000 --max-batch 32 \
         --pipeline on --remerge on --quiet \
         --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
 done
@@ -221,8 +221,8 @@ baseline_p99 = min(r["latency_us"]["p99"] for r in baseline)
 remerge_p99 = min(r["latency_us"]["p99"] for r in remerge)
 assert remerge_p99 <= 1.5 * baseline_p99, (
     f"re-merge p99 {remerge_p99:.0f} us regressed past the noise allowance "
-    f"over continuous {baseline_p99:.0f} us")
-print(f"re-merge smoke OK: best-of-3 p99 continuous {baseline_p99:.0f} us -> "
+    f"over batch+pipeline {baseline_p99:.0f} us")
+print(f"re-merge smoke OK: best-of-3 p99 batch+pipeline {baseline_p99:.0f} us -> "
       f"+remerge {remerge_p99:.0f} us, {merged_waves} merged waves absorbing "
       f"{merged_requests} requests across 3 passes")
 EOF
@@ -419,7 +419,7 @@ for path in sys.argv[1:]:
                     assert serve["achieved_rps"] > 0, path
                 if (serve["arrival"] == "poisson"
                         and serve["coalesce"] == 1
-                        and "batcher" not in serve
+                        and "pipelined" not in serve
                         and record["spec"]["workload"] == "av-mnist"):
                     # The av-mnist rate sweep only: the serving-engine
                     # ladder sweeps other workloads whose p99s are not

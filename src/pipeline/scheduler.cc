@@ -1,9 +1,9 @@
 #include "pipeline/scheduler.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
+#include <optional>
 
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "core/string_utils.hh"
@@ -13,71 +13,54 @@
 namespace mmbench {
 namespace pipeline {
 
-namespace {
-
-double
-nowUs()
+int
+runNode(size_t node_id, const StageNode &node, ExecContext &ctx,
+        const NodeRequest &request, NodeRun *out, bool capture)
 {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+    MM_ASSERT(!capture || out, "trace capture needs a NodeRun");
+    const FaultPlan *faults = request.faults;
+    if (faults && faults->failsAt(request.faultRequest, node.name,
+                                  request.faultAttempt))
+        throw FaultError(node.name, request.faultRequest,
+                         request.faultAttempt);
 
-/**
- * Run one node on the current thread with the full ambient context the
- * monolithic forward used to set up: tag, stage, modality, and (when
- * capturing) a node-local sink. Grad mode is re-asserted here because
- * the node may execute on a pool worker whose thread-local grad flag
- * is untouched by the submitting thread's NoGradGuard.
- */
-void
-execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
-         NodeRun &out, const ScheduleOptions &options, bool grad_enabled,
-         GraphRun *run)
-{
-    // Fault consultation happens before any work: an injected failure
-    // costs the request nothing but the dispatch (the model never ran).
-    if (options.faults && options.faults->failsAt(
-                              options.faultRequest, node.name,
-                              options.faultAttempt))
-        throw FaultError(node.name, options.faultRequest,
-                         options.faultAttempt);
-
-    std::unique_ptr<autograd::NoGradGuard> no_grad;
-    if (!grad_enabled)
-        no_grad = std::make_unique<autograd::NoGradGuard>();
-    std::unique_ptr<trace::ScopedSink> capture;
-    if (options.captureTraces)
-        capture = std::make_unique<trace::ScopedSink>(out.trace);
-
-    trace::TagScope tag(options.tag);
+    std::optional<autograd::NoGradGuard> no_grad;
+    if (!request.gradEnabled)
+        no_grad.emplace();
+    std::optional<trace::ScopedSink> sink;
+    if (capture)
+        sink.emplace(out->trace);
+    trace::TagScope tag(request.tag);
     trace::StageScope stage(node.stage);
-    std::unique_ptr<trace::ModalityScope> mod;
+    std::optional<trace::ModalityScope> mod;
     if (node.modality != trace::kNoModality)
-        mod = std::make_unique<trace::ModalityScope>(node.modality);
+        mod.emplace(node.modality);
 
-    out.startUs = nowUs();
+    const double start = core::nowUs();
     node.body(ctx);
-    out.endUs = nowUs();
+    double end = core::nowUs();
 
     // Injected straggler: busy-extend until the node's measured span
     // reaches `factor` times its real duration. Burning the slot's CPU
     // (rather than sleeping) models a node that is genuinely slower,
     // and keeps the span visible to every consumer of the timeline.
-    if (options.faults) {
-        const double factor = options.faults->slowdownFor(
-            options.faultRequest, node.name, options.faultAttempt);
+    int slowdowns = 0;
+    if (faults) {
+        const double factor = faults->slowdownFor(
+            request.faultRequest, node.name, request.faultAttempt);
         if (factor > 1.0) {
-            const double extension =
-                std::min((out.endUs - out.startUs) * (factor - 1.0),
-                         kMaxInjectedStallUs);
-            const double target = out.endUs + extension;
-            while (nowUs() < target) {
+            const double target =
+                end + std::min((end - start) * (factor - 1.0),
+                               kMaxInjectedStallUs);
+            while (core::nowUs() < target) {
             }
-            out.endUs = nowUs();
-            if (run)
-                ++run->injectedSlowdowns;
+            end = core::nowUs();
+            slowdowns = 1;
         }
+    }
+    if (out) {
+        out->startUs = start;
+        out->endUs = end;
     }
 
     // Planned buffer releases: drop slots whose last consumer is this
@@ -85,13 +68,12 @@ execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
     // installed — the free events land in this node's trace segment,
     // at the same canonical position under every policy. The planner
     // guarantees no concurrently running node still reads these slots.
-    if (options.plan) {
-        for (size_t dead : options.plan->releaseAfter[node_id])
+    if (request.plan) {
+        for (size_t dead : request.plan->releaseAfter[node_id])
             ctx.slots[dead] = autograd::Var();
     }
+    return slowdowns;
 }
-
-} // namespace
 
 const char *
 schedPolicyName(SchedPolicy policy)
@@ -113,24 +95,6 @@ tryParseSchedPolicy(const std::string &name, SchedPolicy *policy)
     }
     return false;
 }
-
-namespace {
-
-/**
- * True when the node is pruned from this execution: its modality was
- * dropped from the request, so the whole per-modality subtree
- * (preprocess + encoder) is dead. Fusion/head nodes carry no modality
- * and always run; the fusion body zero-imputes the missing feature.
- */
-bool
-prunedByDropMask(const StageNode &node, uint32_t drop_mask)
-{
-    return drop_mask != 0 && node.modality != trace::kNoModality &&
-           node.modality < 32 &&
-           (drop_mask >> static_cast<unsigned>(node.modality)) & 1u;
-}
-
-} // namespace
 
 GraphRun
 runGraph(const StageGraph &graph, ExecContext &ctx,
@@ -156,15 +120,19 @@ runGraph(const StageGraph &graph, ExecContext &ctx,
                   policy == SchedPolicy::Sequential,
               "fault injection requires the sequential policy");
 
-    const double t0 = nowUs();
+    const NodeRequest request{options.tag, options.faults,
+                              options.faultRequest, options.faultAttempt,
+                              options.plan, grad_enabled};
+    const double t0 = core::nowUs();
     if (policy == SchedPolicy::Sequential) {
         for (size_t id = 0; id < graph.size(); ++id) {
             if (prunedByDropMask(graph.node(id), options.dropMask)) {
                 ++run.prunedNodes;
                 continue;
             }
-            execNode(id, graph.node(id), ctx, run.nodes[id], options,
-                     grad_enabled, &run);
+            run.injectedSlowdowns +=
+                runNode(id, graph.node(id), ctx, request, &run.nodes[id],
+                        options.captureTraces);
         }
     } else {
         for (int level = 0; level < graph.numLevels(); ++level) {
@@ -184,13 +152,13 @@ runGraph(const StageGraph &graph, ExecContext &ctx,
                 [&](int64_t begin, int64_t end) {
                     for (int64_t i = begin; i < end; ++i) {
                         const size_t id = live[static_cast<size_t>(i)];
-                        execNode(id, graph.node(id), ctx, run.nodes[id],
-                                 options, grad_enabled, nullptr);
+                        runNode(id, graph.node(id), ctx, request,
+                                &run.nodes[id], options.captureTraces);
                     }
                 });
         }
     }
-    run.totalUs = nowUs() - t0;
+    run.totalUs = core::nowUs() - t0;
     return run;
 }
 

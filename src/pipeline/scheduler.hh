@@ -115,6 +115,56 @@ struct GraphRun
 };
 
 /**
+ * True when the node is pruned from an execution whose request dropped
+ * the modalities in `drop_mask`: the whole per-modality subtree
+ * (preprocess + encoder) is dead. Fusion/head nodes carry no modality
+ * and always run; the fusion body zero-imputes the missing feature.
+ */
+inline bool
+prunedByDropMask(const StageNode &node, uint32_t drop_mask)
+{
+    return drop_mask != 0 && node.modality != trace::kNoModality &&
+           node.modality < 32 &&
+           (drop_mask >> static_cast<unsigned>(node.modality)) & 1u;
+}
+
+/**
+ * The per-request fields runNode consults for every node of one
+ * execution. runGraph fills it from its ScheduleOptions, StagePipe
+ * from each job's PipeRequest.
+ */
+struct NodeRequest
+{
+    const std::string &tag;  ///< ambient tag set around the node
+    const FaultPlan *faults; ///< injection plan, or nullptr
+    int faultRequest;        ///< request id stamped on fault decisions
+    int faultAttempt;        ///< retry attempt stamped on decisions
+    const MemoryPlan *plan;  ///< planned slot releases, or nullptr
+    bool gradEnabled;        ///< false = run the body under NoGradGuard
+};
+
+/**
+ * Run one node on the current thread with the full ambient context the
+ * monolithic forward used to set up — the single node executor behind
+ * both runGraph policies and StagePipe:
+ *
+ *  1. fault consultation before any work (an injected failure throws
+ *     FaultError and costs the request nothing but the dispatch);
+ *  2. grad (re-asserted: the node may run on a pool worker whose
+ *     thread-local flag the submitter never touched), capture sink,
+ *     tag, stage and modality scopes around the body;
+ *  3. the injected-straggler busy-extension, capped at
+ *     kMaxInjectedStallUs;
+ *  4. the plan's releaseAfter slot drops, still inside the scopes.
+ *
+ * `out` (optional) receives the host span; `capture` records the
+ * node's trace events into out->trace and requires `out`. Returns the
+ * number of slow faults injected into this node (0 or 1).
+ */
+int runNode(size_t nodeId, const StageNode &node, ExecContext &ctx,
+            const NodeRequest &request, NodeRun *out, bool capture);
+
+/**
  * Execute every node of the graph. ctx.slots is resized to the node
  * count; on return, each node's output sits in its slot. When grad
  * recording is enabled on the calling thread the policy silently

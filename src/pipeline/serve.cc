@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "core/rng.hh"
@@ -15,18 +16,6 @@
 
 namespace mmbench {
 namespace pipeline {
-
-namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 const char *
 arrivalKindName(ArrivalKind kind)
@@ -62,27 +51,6 @@ isOpenLoop(ArrivalKind kind)
 }
 
 const char *
-batcherKindName(BatcherKind kind)
-{
-    return kind == BatcherKind::Static ? "static" : "continuous";
-}
-
-bool
-tryParseBatcherKind(const std::string &name, BatcherKind *kind)
-{
-    const std::string n = toLower(name);
-    if (n == "static") {
-        *kind = BatcherKind::Static;
-        return true;
-    }
-    if (n == "continuous") {
-        *kind = BatcherKind::Continuous;
-        return true;
-    }
-    return false;
-}
-
-const char *
 requestOutcomeName(RequestOutcome outcome)
 {
     switch (outcome) {
@@ -106,9 +74,6 @@ validateServeOptions(int total, const ServeLoopOptions &options)
         return "max-batch must be >= 1";
     if (options.batchWaitUs < 0.0)
         return "batch-wait-us must be >= 0";
-    if (options.batchWaitUs > 0.0 &&
-        options.batcher != BatcherKind::Continuous)
-        return "batch-wait-us applies to the continuous batcher only";
     if (options.queueCap < 0)
         return "queue-cap must be >= 0";
     if (options.deadlineUs < 0.0)
@@ -120,9 +85,9 @@ validateServeOptions(int total, const ServeLoopOptions &options)
         if (options.maxBatch != 1)
             return "closed-loop serving cannot coalesce (no queue to "
                    "batch from)";
-        if (options.batcher == BatcherKind::Continuous)
-            return "continuous batching requires open-loop arrivals "
-                   "(closed loop has no queue to re-form batches from)";
+        if (options.batchWaitUs > 0.0)
+            return "batch-wait-us requires open-loop arrivals (closed "
+                   "loop has no queue to hold a batch open on)";
         if (options.classes != nullptr && !options.classes->empty())
             return "request classes require open-loop arrivals "
                    "(priority dequeue needs a queue)";
@@ -214,7 +179,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
     std::atomic<int> calls{0};
     std::atomic<int> retries{0};
     std::atomic<int> faults{0};
-    const double t0 = nowUs();
+    const double t0 = core::nowUs();
     core::parallelFor(0, options.inflight, 1, [&](int64_t, int64_t) {
         // The slot body drains the cursor; the parallelFor range only
         // determines how many slots run concurrently.
@@ -226,9 +191,9 @@ runClosedLoop(int total, const ServeLoopOptions &options,
             call.first = i;
             call.count = 1;
             call.ids.assign(1, i);
-            const double start = nowUs() - t0;
+            const double start = core::nowUs() - t0;
             const ServiceResult sr = service(call);
-            const double end = nowUs() - t0;
+            const double end = core::nowUs() - t0;
             RequestTiming &t = result->requests[static_cast<size_t>(i)];
             t.arrivalUs = start; // no queue in a closed loop
             t.startUs = start;
@@ -241,7 +206,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
                              std::memory_order_relaxed);
         }
     });
-    result->wallUs = nowUs() - t0;
+    result->wallUs = core::nowUs() - t0;
     result->serviceCalls = calls.load();
     result->retries = retries.load();
     result->faultsInjected = faults.load();
@@ -251,8 +216,8 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * Open loop: requests become available at their scheduled arrival
  * instants and are admitted into per-class FIFO queues; slots batch
  * up to `maxBatch` requests from the highest-priority non-empty queue
- * (holding an under-filled batch up to `batchWaitUs` under the
- * continuous batcher) or wait for the next arrival. Classless streams
+ * (holding an under-filled batch up to `batchWaitUs` when it is
+ * positive) or wait for the next arrival. Classless streams
  * run a single queue, so dequeues stay contiguous FIFO runs — the
  * historical dispatcher exactly. A batch dispatched under-filled is
  * not necessarily final, either: with `--remerge on` the stage pipe
@@ -270,7 +235,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * at low load. Liveness: the timer owner wakes one parked slot after
  * dequeuing, every service completion wakes one more (arrived backlog
  * may now be visible), and stream end broadcasts. A slot holding an
- * under-filled continuous batch owns its own timed wait — the popped
+ * under-filled batch open owns its own timed wait — the popped
  * members are private to it, so other slots keep dispatching the rest
  * of the queue meanwhile.
  *
@@ -329,7 +294,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
     std::atomic<int> calls{0};
     std::atomic<int> retries{0};
     std::atomic<int> faults{0};
-    const double t0 = nowUs();
+    const double t0 = core::nowUs();
 
     // Caller holds mu. Admit every request due by `now` into its class
     // queue (queues only ever grow here, so "consumed prefix" heads
@@ -371,7 +336,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                 cv.notify_all(); // release every parked slot
                 return;
             }
-            double now = nowUs() - t0;
+            double now = core::nowUs() - t0;
             admit(now);
             if (options.shedding) {
                 // Deadline-expired queue heads: servicing them is pure
@@ -439,7 +404,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                     // jitter (measured as queue wait) stays at
                     // scheduler-yield granularity.
                     lock.unlock();
-                    while (nowUs() - t0 < due)
+                    while (core::nowUs() - t0 < due)
                         std::this_thread::yield();
                     lock.lock();
                 }
@@ -453,17 +418,16 @@ runOpenLoop(int total, const ServeLoopOptions &options,
             while (static_cast<int>(call.ids.size()) < options.maxBatch &&
                    queueSize(pick) > 0)
                 call.ids.push_back(popFront(pick));
-            if (options.batcher == BatcherKind::Continuous &&
-                static_cast<int>(call.ids.size()) < options.maxBatch &&
+            if (static_cast<int>(call.ids.size()) < options.maxBatch &&
                 options.batchWaitUs > 0.0) {
                 // Hold the under-filled batch (its members are private
                 // to this slot) up to batchWaitUs from formation start
                 // for further same-class arrivals. Other slots keep
                 // dispatching the rest of the queue meanwhile.
-                const double formed = nowUs() - t0;
+                const double formed = core::nowUs() - t0;
                 const double hold_until = formed + options.batchWaitUs;
                 for (;;) {
-                    now = nowUs() - t0;
+                    now = core::nowUs() - t0;
                     admit(now);
                     while (static_cast<int>(call.ids.size()) <
                                options.maxBatch &&
@@ -483,12 +447,12 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                                 until - now - 1500.0));
                     } else {
                         lock.unlock();
-                        while (nowUs() - t0 < until)
+                        while (core::nowUs() - t0 < until)
                             std::this_thread::yield();
                         lock.lock();
                     }
                 }
-                now = nowUs() - t0;
+                now = core::nowUs() - t0;
             }
             call.first = call.ids.front();
             call.count = static_cast<int>(call.ids.size());
@@ -507,9 +471,9 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                 cv.notify_one(); // hand the queue to a parked slot
             lock.unlock();
 
-            const double start = nowUs() - t0;
+            const double start = core::nowUs() - t0;
             const ServiceResult sr = service(call);
-            const double end = nowUs() - t0;
+            const double end = core::nowUs() - t0;
             for (const int i : call.ids) {
                 RequestTiming &t =
                     result->requests[static_cast<size_t>(i)];
@@ -535,7 +499,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
             cv.notify_one();
         }
     });
-    result->wallUs = nowUs() - t0;
+    result->wallUs = core::nowUs() - t0;
     result->serviceCalls = calls.load();
     result->retries = retries.load();
     result->faultsInjected = faults.load();

@@ -21,9 +21,10 @@
  *    Inference's server scenario makes. Arrived-but-unserved requests
  *    wait in FIFO queues (one per request class); latency = queue wait
  *    + service time. The dispatcher batches up to `maxBatch` queued
- *    requests into one service call — immediately from the backlog
- *    (static batcher) or holding an under-filled batch up to
- *    `batchWaitUs` for further arrivals (continuous batcher).
+ *    requests into one service call, re-forming each batch from the
+ *    queue at dispatch: it drains the backlog and, when `batchWaitUs`
+ *    is positive, holds an under-filled batch that long for further
+ *    arrivals (0 dispatches whatever the backlog holds immediately).
  *
  * The schedule is generated from a seed before the clock starts, so a
  * fixed (kind, requests, rate, seed) tuple is bit-reproducible.
@@ -77,26 +78,6 @@ bool tryParseArrivalKind(const std::string &name, ArrivalKind *kind);
 bool isOpenLoop(ArrivalKind kind);
 
 /**
- * How service batches are formed from the queue (open loop only).
- *
- *  - Static: dequeue up to `maxBatch` *already-arrived* requests and
- *    dispatch immediately — batch size is whatever the backlog happens
- *    to hold (the historical `--coalesce` behaviour).
- *  - Continuous: after draining the backlog, an under-filled batch
- *    waits up to `batchWaitUs` for further compatible arrivals before
- *    dispatching, re-forming the batch at the stage boundary — batch
- *    size adapts to load instead of being fixed at parse time.
- */
-enum class BatcherKind : uint8_t
-{
-    Static,
-    Continuous,
-};
-
-const char *batcherKindName(BatcherKind kind);
-bool tryParseBatcherKind(const std::string &name, BatcherKind *kind);
-
-/**
  * Arrival instants in microseconds from stream start, one per request,
  * non-decreasing. Poisson draws exponential inter-arrival gaps with
  * mean 1/rate_rps from a generator seeded with `seed`; Fixed places
@@ -126,8 +107,6 @@ struct ServeLoopOptions
     double rateRps = 0.0; ///< open-loop offered rate, requests/second
     uint64_t seed = 42;   ///< arrival-schedule seed (open loop only)
     int inflight = 4;     ///< concurrent request slots
-    /** Open loop only: how service batches are formed. */
-    BatcherKind batcher = BatcherKind::Static;
     /**
      * Open loop only: dequeue up to this many queued requests into one
      * service call. 1 = no batching. Closed loop always serves one
@@ -135,9 +114,9 @@ struct ServeLoopOptions
      */
     int maxBatch = 1;
     /**
-     * Continuous batcher only: how long an under-filled batch may wait
-     * (from formation start) for further compatible arrivals before
-     * dispatching anyway. 0 = dispatch immediately (static behaviour).
+     * Open loop only: how long an under-filled batch may wait (from
+     * formation start) for further same-class arrivals before
+     * dispatching anyway. 0 = dispatch whatever already arrived.
      */
     double batchWaitUs = 0.0;
     /**
@@ -188,7 +167,7 @@ enum class RequestOutcome : uint8_t
 
 const char *requestOutcomeName(RequestOutcome outcome);
 
-/** What the service function did with one coalesce group. */
+/** What the service function did with one service batch. */
 struct ServiceResult
 {
     bool failed = false;   ///< permanent failure (retries exhausted)
@@ -254,7 +233,7 @@ std::string validateServeOptions(int total,
 /**
  * Run one serve stream of `total` requests on the core worker pool:
  * min(inflight, pool threads) slots execute `service` concurrently,
- * one coalesce group at a time. Blocks until every request reached a
+ * one service batch at a time. Blocks until every request reached a
  * terminal outcome; requests are dispatched strictly in id order.
  */
 ServeLoopResult runServeLoop(int total, const ServeLoopOptions &options,

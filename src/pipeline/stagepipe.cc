@@ -1,36 +1,14 @@
 #include "pipeline/stagepipe.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "autograd/var.hh"
 #include "core/logging.hh"
+#include "pipeline/scheduler.hh"
 #include "tensor/ops.hh"
-#include "trace/scope.hh"
 
 namespace mmbench {
 namespace pipeline {
-
-namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Same pruning rule the scheduler applies (scheduler.cc). */
-bool
-prunedByDropMask(const StageNode &node, uint32_t drop_mask)
-{
-    return drop_mask != 0 && node.modality != trace::kNoModality &&
-           node.modality < 32 &&
-           (drop_mask >> static_cast<unsigned>(node.modality)) & 1u;
-}
-
-} // namespace
 
 /**
  * One in-flight request. Guarded by StagePipe::mu_ except where noted:
@@ -430,62 +408,24 @@ StagePipe::runTask(Job *job, std::unique_lock<std::mutex> &lock)
         readyRemove(job); // wave fully started: nothing left to pick
     lock.unlock();
 
-    const StageNode &node = graph_.node(node_id);
+    // Serving is inference-only, so grad is force-disabled on whichever
+    // slot runs the task; trace capture stays off on the serve hot
+    // path. The plan's releases stay within the job: the parallel-
+    // policy plan guarantees no same-wave node reads a dropped slot,
+    // and the per-job barrier covers cross-wave reads.
+    const NodeRequest node_request{job->req.tag, job->req.faults,
+                                   job->req.faultRequest,
+                                   job->req.faultAttempt, plan_,
+                                   /*gradEnabled=*/false};
     bool faulted = false;
     std::string fault_node;
     int slowdowns = 0;
-    {
-        // Replicate execNode's ambient context: serving is inference-
-        // only, so grad is force-disabled on whichever slot runs the
-        // task; trace capture stays off on the serve hot path.
-        autograd::NoGradGuard no_grad;
-        trace::TagScope tag(job->req.tag);
-        trace::StageScope stage(node.stage);
-        std::unique_ptr<trace::ModalityScope> mod;
-        if (node.modality != trace::kNoModality)
-            mod = std::make_unique<trace::ModalityScope>(node.modality);
-
-        try {
-            // Fault consultation before any work, same as execNode.
-            if (job->req.faults &&
-                job->req.faults->failsAt(job->req.faultRequest,
-                                         node.name,
-                                         job->req.faultAttempt))
-                throw FaultError(node.name, job->req.faultRequest,
-                                 job->req.faultAttempt);
-
-            const double start = nowUs();
-            node.body(job->ctx);
-            double end = nowUs();
-
-            // Injected straggler: busy-extend the node's span.
-            if (job->req.faults) {
-                const double factor = job->req.faults->slowdownFor(
-                    job->req.faultRequest, node.name,
-                    job->req.faultAttempt);
-                if (factor > 1.0) {
-                    const double extension = std::min(
-                        (end - start) * (factor - 1.0),
-                        kMaxInjectedStallUs);
-                    const double target = end + extension;
-                    while (nowUs() < target) {
-                    }
-                    ++slowdowns;
-                }
-            }
-            (void)end;
-
-            // Planned buffer releases: within-job only; the parallel-
-            // policy plan guarantees no same-wave node reads these
-            // slots, and the per-job barrier covers cross-wave reads.
-            if (plan_) {
-                for (size_t dead : plan_->releaseAfter[node_id])
-                    job->ctx.slots[dead] = autograd::Var();
-            }
-        } catch (const FaultError &e) {
-            faulted = true;
-            fault_node = e.node();
-        }
+    try {
+        slowdowns = runNode(node_id, graph_.node(node_id), job->ctx,
+                            node_request, nullptr, /*capture=*/false);
+    } catch (const FaultError &e) {
+        faulted = true;
+        fault_node = e.node();
     }
 
     lock.lock();

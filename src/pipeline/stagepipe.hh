@@ -21,14 +21,15 @@
  * wave k-1 fully finished), which preserves the parallel-policy memory
  * plan's release rule and the graph's dependency order.
  *
- * Semantics per node replicate the scheduler's execNode exactly: fault
- * consultation before the body (an injected failure aborts the job's
- * remaining waves and execute() rethrows FaultError on the owning slot,
- * so the runner's retry loop is untouched), grad disabled, tag/stage/
- * modality trace scopes, injected-straggler busy-extension, drop-mask
- * pruning, and planned buffer releases after the node. Node bodies are
- * deterministic functions of their slot inputs, so outputs are bitwise
- * identical to unpipelined execution for any slot count.
+ * Each node task calls the scheduler's runNode (scheduler.hh), the
+ * same executor runGraph uses: fault consultation before the body (an
+ * injected failure aborts the job's remaining waves and execute()
+ * rethrows FaultError on the owning slot, so the runner's retry loop
+ * is untouched), grad disabled, tag/stage/modality trace scopes,
+ * injected-straggler busy-extension and planned buffer releases after
+ * the node; waves skip nodes by the shared prunedByDropMask rule. Node
+ * bodies are deterministic functions of their slot inputs, so outputs
+ * are bitwise identical to unpipelined execution for any slot count.
  *
  * Task order is priority-aware (request-class priority, FIFO by
  * submission within a priority), so SLO classes keep their dequeue

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "autograd/optim.hh"
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "data/loader.hh"
@@ -23,14 +24,6 @@ namespace mmbench {
 namespace runner {
 
 namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 void
 fillCommon(RunResult *result, const RunSpec &spec,
@@ -137,9 +130,9 @@ runInfer(const RunSpec &spec, models::MultiModalWorkload &workload,
     std::vector<double> wall_us, sim_us;
     profile::ProfileResult last;
     for (int i = 0; i < spec.repeat; ++i) {
-        const double t0 = nowUs();
+        const double t0 = core::nowUs();
         last = profiler.profileGraph(workload, batch, spec.sched);
-        wall_us.push_back(nowUs() - t0);
+        wall_us.push_back(core::nowUs() - t0);
         sim_us.push_back(last.timeline.totalUs);
     }
     pool_window.finish(&result->memory);
@@ -223,7 +216,7 @@ runTrain(const RunSpec &spec, models::MultiModalWorkload &workload,
             pool_window = std::make_unique<PoolWindow>();
         for (int64_t b = 0; b < loader.batchesPerEpoch(); ++b) {
             data::Batch batch = loader.batch(b);
-            const double t0 = nowUs();
+            const double t0 = core::nowUs();
             opt.zeroGrad();
             autograd::Var loss =
                 workload.loss(workload.forward(batch), batch.targets);
@@ -231,7 +224,7 @@ runTrain(const RunSpec &spec, models::MultiModalWorkload &workload,
             opt.clipGradNorm(5.0f);
             opt.step();
             if (timed) {
-                step_us.push_back(nowUs() - t0);
+                step_us.push_back(core::nowUs() - t0);
                 timed_samples += batch.size;
             }
         }
@@ -418,7 +411,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     loop.rateRps = spec.rateRps;
     loop.seed = spec.seed;
     loop.inflight = inflight;
-    loop.batcher = spec.batcher;
     loop.maxBatch = spec.maxBatch;
     loop.batchWaitUs = static_cast<double>(spec.batchWaitUs);
     if (!class_plan.empty())
@@ -577,7 +569,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     result->serve.offeredRps =
         pipeline::isOpenLoop(spec.arrival) ? spec.rateRps : 0.0;
     result->serve.coalesce = spec.maxBatch;
-    result->serve.batcher = pipeline::batcherKindName(spec.batcher);
     result->serve.pipelined = spec.pipelineServe;
     result->serve.batches = stream.serviceCalls;
     if (pipe) {

@@ -83,13 +83,11 @@ RunResult::toJson() const
     spec_json.set("requests", static_cast<int64_t>(spec.requests));
     spec_json.set("arrival", pipeline::arrivalKindName(spec.arrival));
     spec_json.set("rate_rps", spec.rateRps);
-    // Historical key: the static batch cap was `--coalesce N`; the key
-    // keeps its name (= spec.maxBatch) so existing consumers and the
-    // default record stay byte-identical.
+    // Historical key: the batch cap was first called "coalesce"; the
+    // key keeps that name (= spec.maxBatch) so existing consumers and
+    // the default record stay byte-identical.
     spec_json.set("coalesce", static_cast<int64_t>(spec.maxBatch));
     // Serving-scheduler knobs (additive v1 fields, non-default only).
-    if (spec.batcher != pipeline::BatcherKind::Static)
-        spec_json.set("batcher", pipeline::batcherKindName(spec.batcher));
     if (spec.batchWaitUs > 0)
         spec_json.set("batch_wait_us",
                       static_cast<int64_t>(spec.batchWaitUs));
@@ -183,9 +181,7 @@ RunResult::toJson() const
                        static_cast<int64_t>(serve.faultsInjected));
         serve_json.set("goodput_rps", serve.goodputRps);
         // Serving-scheduler accounting (additive, non-default only:
-        // the default static/unpipelined record stays byte-identical).
-        if (serve.batcher != "static")
-            serve_json.set("batcher", serve.batcher);
+        // the default unpipelined record stays byte-identical).
         if (serve.pipelined)
             serve_json.set("pipelined", true);
         if (spec.remerge) {

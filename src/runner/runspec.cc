@@ -121,10 +121,6 @@ RunSpec::toArgs() const
     args.push_back(pipeline::arrivalKindName(arrival));
     args.push_back("--rate");
     args.push_back(strfmt("%.17g", rateRps));
-    if (batcher != pipeline::BatcherKind::Static) {
-        args.push_back("--batcher");
-        args.push_back(pipeline::batcherKindName(batcher));
-    }
     args.push_back("--max-batch");
     args.push_back(strfmt("%d", maxBatch));
     if (batchWaitUs > 0) {
@@ -183,7 +179,7 @@ RunSpec::toString() const
     std::string text = strfmt(
         "%s fusion=%s mode=%s batch=%lld threads=%d scale=%g seed=%llu "
         "warmup=%d repeat=%d device=%s sched=%s inflight=%d requests=%d "
-        "arrival=%s rate=%g batcher=%s max_batch=%d faults=%s "
+        "arrival=%s rate=%g max_batch=%d faults=%s "
         "queue_cap=%d deadline_ms=%g retries=%d shed=%s",
         workload.c_str(),
         hasFusion ? fusion::fusionKindName(fusionKind) : "default",
@@ -191,8 +187,7 @@ RunSpec::toString() const
         static_cast<double>(sizeScale),
         static_cast<unsigned long long>(seed), warmup, repeat,
         device.c_str(), pipeline::schedPolicyName(sched), inflight,
-        requests, pipeline::arrivalKindName(arrival), rateRps,
-        pipeline::batcherKindName(batcher), maxBatch,
+        requests, pipeline::arrivalKindName(arrival), rateRps, maxBatch,
         faults.empty() ? "none" : faults.c_str(), queueCap,
         deadlineMs, retries, shed ? "on" : "off");
     if (batchWaitUs > 0)
@@ -260,8 +255,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                std::string *error)
 {
     error->clear();
-    bool saw_coalesce = false;
-    bool saw_continuous = false;
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
         if (i + 1 >= args.size()) {
@@ -430,17 +423,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                 return false;
             }
             spec->rateRps = v;
-        } else if (flag == "--batcher") {
-            pipeline::BatcherKind kind;
-            if (!pipeline::tryParseBatcherKind(value, &kind)) {
-                *error = strfmt("unknown --batcher value '%s' "
-                                "(expected static or continuous)",
-                                value.c_str());
-                return false;
-            }
-            spec->batcher = kind;
-            if (kind == pipeline::BatcherKind::Continuous)
-                saw_continuous = true;
         } else if (flag == "--max-batch") {
             int64_t v;
             if (!parseInt64(value, &v) || v <= 0) {
@@ -484,18 +466,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                                 "'%s'", value.c_str());
                 return false;
             }
-        } else if (flag == "--coalesce") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--coalesce expects a positive integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            warn("--coalesce is deprecated; use --batcher static "
-                 "--max-batch %lld", static_cast<long long>(v));
-            spec->batcher = pipeline::BatcherKind::Static;
-            spec->maxBatch = static_cast<int>(v);
-            saw_coalesce = true;
         } else if (flag == "--faults") {
             // Grammar-checked after the loop (seed-independent), so
             // flag order can't change whether a spec parses.
@@ -542,14 +512,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             return false;
         }
     }
-    if (saw_coalesce &&
-        (saw_continuous ||
-         spec->batcher == pipeline::BatcherKind::Continuous)) {
-        *error = "--coalesce is a deprecated alias for --batcher "
-                 "static --max-batch N and cannot be combined with "
-                 "--batcher continuous; pass --max-batch directly";
-        return false;
-    }
     if (spec->mode == RunMode::Serve &&
         spec->sched == pipeline::SchedPolicy::Parallel) {
         // Serve requests already occupy the worker pool, so the
@@ -577,16 +539,9 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
         }
     } else {
         if (spec->maxBatch > 1) {
-            *error = "--max-batch (and its deprecated alias "
-                     "--coalesce) batches queued requests, which only "
-                     "exist under open-loop arrivals; add --arrival "
-                     "poisson or --arrival fixed";
-            return false;
-        }
-        if (spec->batcher == pipeline::BatcherKind::Continuous) {
-            *error = "--batcher continuous re-forms batches from the "
-                     "open-loop queue; add --arrival poisson or "
-                     "--arrival fixed";
+            *error = "--max-batch batches queued requests, which "
+                     "only exist under open-loop arrivals; add "
+                     "--arrival poisson or --arrival fixed";
             return false;
         }
         if (spec->batchWaitUs > 0) {
@@ -614,12 +569,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                      "--arrival poisson or --arrival fixed";
             return false;
         }
-    }
-    if (spec->batchWaitUs > 0 &&
-        spec->batcher != pipeline::BatcherKind::Continuous) {
-        *error = "--batch-wait-us holds an under-filled continuous "
-                 "batch; add --batcher continuous";
-        return false;
     }
     if (!spec->classes.empty()) {
         // Grammar check at parse time, same contract as --faults.

@@ -71,11 +71,9 @@ struct RunSpec
     pipeline::ArrivalKind arrival = pipeline::ArrivalKind::Closed;
     /** Serve mode: open-loop offered rate, requests/second. */
     double rateRps = 0.0;
-    /** Serve mode, open loop: how service batches are formed. */
-    pipeline::BatcherKind batcher = pipeline::BatcherKind::Static;
     /** Serve mode, open loop: batch up to N queued requests. */
     int maxBatch = 1;
-    /** Continuous batcher: under-filled batch hold time, microseconds. */
+    /** Serve mode, open loop: under-filled batch hold time, microseconds. */
     int batchWaitUs = 0;
     /** Serve mode, open loop: request-class spec (classes.hh); ""=none. */
     std::string classes;
@@ -148,12 +146,9 @@ struct RunSpec
  * Parse CLI flags ("--workload", "--fusion", "--mode", "--batch",
  * "--threads", "--scale", "--seed", "--warmup", "--repeat",
  * "--device", "--sched", "--inflight", "--requests", "--arrival",
- * "--rate", "--batcher", "--max-batch", "--batch-wait-us",
- * "--classes", "--pipeline", "--remerge", "--faults", "--queue-cap",
- * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec. "--coalesce N"
- * is accepted as a deprecated alias for "--batcher static
- * --max-batch N" (a parse-time warning is printed; combining it with
- * "--batcher continuous" is rejected).
+ * "--rate", "--max-batch", "--batch-wait-us", "--classes",
+ * "--pipeline", "--remerge", "--faults", "--queue-cap",
+ * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec.
  * Flags not present keep the spec's current values, so callers can
  * pre-seed defaults. Fails with a message in *error on unknown flags,
  * malformed values, or unknown workload/fusion/device names; the

@@ -10,6 +10,8 @@
  * pool has real workers even on single-core CI hosts.
  */
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +40,21 @@ using namespace mmbench;
 using autograd::Var;
 using core::JsonValue;
 using pipeline::SchedPolicy;
+
+namespace {
+
+/**
+ * A file under the gtest temp dir named per process, so concurrent
+ * copies of this binary (ctest -j, stress loops) never share a file.
+ */
+std::string
+tempPath(const std::string &stem, const std::string &ext)
+{
+    return ::testing::TempDir() + "/" + stem + "_" +
+           std::to_string(::getpid()) + ext;
+}
+
+} // namespace
 
 // ------------------------------------------------------------ StageGraph
 
@@ -397,7 +414,7 @@ TEST(ServeMode, JsonSchemaCarriesServeFields)
     spec.requests = 4;
 
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_pipeline.jsonl";
+        tempPath("mmbench_test_pipeline", ".jsonl");
     std::remove(path.c_str());
     {
         runner::JsonlSink sink(path);
@@ -466,7 +483,7 @@ TEST(ServeMode, OpenLoopJsonSchemaCarriesQueueFields)
     spec.rateRps = 400.0;
 
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_pipeline_open.jsonl";
+        tempPath("mmbench_test_pipeline_open", ".jsonl");
     std::remove(path.c_str());
     {
         runner::JsonlSink sink(path);
@@ -536,7 +553,7 @@ TEST(InferMode, JsonSchemaCarriesNodeTimeline)
     spec.sched = SchedPolicy::Parallel;
 
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_pipeline_infer.jsonl";
+        tempPath("mmbench_test_pipeline_infer", ".jsonl");
     std::remove(path.c_str());
     {
         runner::JsonlSink sink(path);
@@ -801,6 +818,29 @@ TEST(StagePipe, InjectedFailureRethrowsOnTheOwningRequest)
     pipeline::PipeRequest clean;
     clean.batch = &batch;
     EXPECT_NO_THROW(pipe.execute(clean));
+
+    // Executor parity: the pipe and the scheduler run every node
+    // through the same runNode, so a slow fault on every node injects
+    // the same count through both and leaves the output bitwise equal.
+    pipeline::FaultPlan slow;
+    ASSERT_TRUE(pipeline::parseFaultPlan("slow:node=*:p=1:x=1.5", 5,
+                                         &slow, &error))
+        << error;
+    pipeline::ScheduleOptions opts;
+    opts.policy = SchedPolicy::Sequential;
+    opts.faults = &slow;
+    pipeline::GraphRun run;
+    const tensor::Tensor reference =
+        w->forwardGraph(batch, opts, &run).value();
+    pipeline::PipeRequest slowed;
+    slowed.batch = &batch;
+    slowed.faults = &slow;
+    const pipeline::PipeCompletion done = pipe.execute(slowed);
+    EXPECT_EQ(run.injectedSlowdowns,
+              static_cast<int>(w->stageGraph().size()));
+    EXPECT_EQ(done.injectedSlowdowns, run.injectedSlowdowns);
+    expectBitwiseEqual(reference, done.output.value(),
+                       "av-mnist slowed pipelined");
 }
 
 // --------------------------------------------------- StagePipe re-merge

@@ -7,6 +7,7 @@
  */
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -27,6 +28,21 @@ using core::JsonValue;
 using runner::LatencyStats;
 using runner::RunMode;
 using runner::RunSpec;
+
+namespace {
+
+/**
+ * A file under the gtest temp dir named per process, so concurrent
+ * copies of this binary (ctest -j, stress loops) never share a file.
+ */
+std::string
+tempPath(const std::string &stem, const std::string &ext)
+{
+    return ::testing::TempDir() + "/" + stem + "_" +
+           std::to_string(::getpid()) + ext;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------- RunSpec
 
@@ -140,24 +156,23 @@ TEST(RunSpecParse, ArrivalFlagsParseAndRoundTrip)
     std::string error;
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "128.5", "--coalesce", "4", "--inflight",
-         "2", "--requests", "16"},
+         "poisson", "--rate", "128.5", "--max-batch", "4",
+         "--batch-wait-us", "500", "--inflight", "2", "--requests", "16"},
         &spec, &error))
         << error;
     EXPECT_EQ(spec.arrival, pipeline::ArrivalKind::Poisson);
     EXPECT_DOUBLE_EQ(spec.rateRps, 128.5);
-    // --coalesce is a deprecated alias for --batcher static
-    // --max-batch N (warns, still parses).
-    EXPECT_EQ(spec.batcher, pipeline::BatcherKind::Static);
     EXPECT_EQ(spec.maxBatch, 4);
+    EXPECT_EQ(spec.batchWaitUs, 500);
 
-    // Round-trip re-emits the canonical flags, never the alias.
+    // Round-trip re-emits the canonical flags.
     RunSpec reparsed;
     ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
         << error;
     EXPECT_EQ(reparsed.arrival, spec.arrival);
     EXPECT_DOUBLE_EQ(reparsed.rateRps, spec.rateRps);
     EXPECT_EQ(reparsed.maxBatch, spec.maxBatch);
+    EXPECT_EQ(reparsed.batchWaitUs, spec.batchWaitUs);
 
     // The closed-loop default also round-trips (rate 0 accepted).
     RunSpec closed;
@@ -197,12 +212,12 @@ TEST(RunSpecParse, ArrivalFlagErrors)
         &spec, &error));
     EXPECT_NE(error.find("serve"), std::string::npos);
 
-    // Coalescing needs a queue, i.e. open-loop arrivals.
+    // Batching needs a queue, i.e. open-loop arrivals.
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--coalesce", "4"},
+        {"--workload", "av-mnist", "--mode", "serve", "--max-batch", "4"},
         &spec, &error));
-    EXPECT_NE(error.find("--coalesce"), std::string::npos);
+    EXPECT_NE(error.find("--max-batch"), std::string::npos);
 
     // A rate under the closed loop would be silently ignored: reject.
     spec = RunSpec();
@@ -412,7 +427,7 @@ TEST(RunSpecParse, FusionKernelFlagErrors)
     // --autotune force against a read-only perf-db fails at parse
     // time (permission bits, so the check also holds for root).
     const std::string ro =
-        ::testing::TempDir() + "/mmbench_ro_perfdb.json";
+        tempPath("mmbench_ro_perfdb", ".json");
     {
         std::ofstream os(ro);
         os << "{}";
@@ -432,7 +447,7 @@ TEST(RunSpecParse, FusionKernelFlagErrors)
     EXPECT_TRUE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--fusion", "on", "--autotune",
          "force", "--perfdb",
-         ::testing::TempDir() + "/mmbench_new_perfdb.json"},
+         tempPath("mmbench_new_perfdb", ".json")},
         &spec, &error))
         << error;
 }
@@ -739,7 +754,7 @@ smokeRecord()
     spec.repeat = 2;
 
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_runner.jsonl";
+        tempPath("mmbench_test_runner", ".jsonl");
     std::remove(path.c_str()); // the sink appends; start clean
     {
         runner::JsonlSink sink(path);
@@ -964,7 +979,7 @@ TEST(Runner, ServeJsonCarriesLifecycleBlock)
     spec.requests = 4;
 
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_runner_serve.jsonl";
+        tempPath("mmbench_test_runner_serve", ".jsonl");
     std::remove(path.c_str());
     {
         runner::JsonlSink sink(path);
@@ -1095,12 +1110,11 @@ TEST(RunSpecParse, ServingSchedulerFlagsParseAndRoundTrip)
     std::string error;
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--batch-wait-us", "250", "--classes",
+         "poisson", "--rate", "200", "--max-batch", "8",
+         "--batch-wait-us", "250", "--classes",
          "hi:share=1:prio=1;lo:share=3", "--pipeline", "on"},
         &spec, &error))
         << error;
-    EXPECT_EQ(spec.batcher, pipeline::BatcherKind::Continuous);
     EXPECT_EQ(spec.maxBatch, 8);
     EXPECT_EQ(spec.batchWaitUs, 250);
     EXPECT_EQ(spec.classes, "hi:share=1:prio=1;lo:share=3");
@@ -1109,7 +1123,6 @@ TEST(RunSpecParse, ServingSchedulerFlagsParseAndRoundTrip)
     RunSpec reparsed;
     ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
         << error;
-    EXPECT_EQ(reparsed.batcher, spec.batcher);
     EXPECT_EQ(reparsed.maxBatch, spec.maxBatch);
     EXPECT_EQ(reparsed.batchWaitUs, spec.batchWaitUs);
     EXPECT_EQ(reparsed.classes, spec.classes);
@@ -1121,45 +1134,19 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
     RunSpec spec;
     std::string error;
 
-    // The deprecated alias cannot combine with the continuous batcher.
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batcher", "continuous",
-         "--coalesce", "4"},
-        &spec, &error));
-    EXPECT_NE(error.find("deprecated alias"), std::string::npos);
-    EXPECT_NE(error.find("--max-batch"), std::string::npos);
-
-    // ... in either flag order.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--coalesce", "4", "--batcher",
-         "continuous"},
-        &spec, &error));
-    EXPECT_NE(error.find("deprecated alias"), std::string::npos);
-
-    // Batch-wait only means something under the continuous batcher.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batch-wait-us", "500"},
-        &spec, &error));
-    EXPECT_NE(error.find("--batcher continuous"), std::string::npos);
-
     // Pipelining overlaps serve-mode requests: serve mode only.
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--pipeline", "on"}, &spec, &error));
     EXPECT_NE(error.find("--mode serve"), std::string::npos);
 
-    // The continuous batcher needs an open-loop queue.
+    // Holding a batch open needs an open-loop queue.
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--batcher",
-         "continuous"},
+        {"--workload", "av-mnist", "--mode", "serve", "--batch-wait-us",
+         "500"},
         &spec, &error));
-    EXPECT_NE(error.find("--batcher continuous"), std::string::npos);
+    EXPECT_NE(error.find("--batch-wait-us"), std::string::npos);
 
     // Classes schedule the open-loop admission queue.
     spec = RunSpec();
@@ -1186,16 +1173,25 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
     EXPECT_NE(error.find("--max-batch"), std::string::npos);
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batcher", "dynamic"},
-        &spec, &error));
-    EXPECT_NE(error.find("--batcher"), std::string::npos);
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--pipeline",
          "maybe"},
         &spec, &error));
     EXPECT_NE(error.find("--pipeline"), std::string::npos);
+
+    // Batching is --max-batch plus --batch-wait-us alone: the removed
+    // batcher selector and its alias are unknown flags.
+    for (const char *flag : {"--batcher", "--coalesce"}) {
+        for (const char *value : {"continuous", "static", "4"}) {
+            spec = RunSpec();
+            EXPECT_FALSE(runner::parseRunSpec(
+                {"--workload", "av-mnist", "--mode", "serve",
+                 "--arrival", "poisson", "--rate", "200", flag, value},
+                &spec, &error))
+                << flag << " " << value;
+            EXPECT_NE(error.find("unknown flag"), std::string::npos)
+                << error;
+        }
+    }
 }
 
 // ----------------------------------------------- per-class result blocks
@@ -1207,7 +1203,7 @@ JsonValue
 recordFor(const RunSpec &spec, const std::string &tag)
 {
     const std::string path =
-        ::testing::TempDir() + "/mmbench_test_runner_" + tag + ".jsonl";
+        tempPath("mmbench_test_runner_" + tag, ".jsonl");
     std::remove(path.c_str());
     {
         runner::JsonlSink sink(path);
@@ -1306,7 +1302,7 @@ TEST(Runner, DefaultServeJsonOmitsTheNewSchedulerKeys)
 
 TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
 {
-    // The full pipelined stack end to end: continuous batcher, request
+    // The full pipelined stack end to end: held batches, request
     // classes and the stage pipeline together must still complete every
     // request Ok, and the record must say which engine ran.
     RunSpec spec;
@@ -1318,7 +1314,6 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     spec.requests = 8;
     spec.arrival = pipeline::ArrivalKind::Fixed;
     spec.rateRps = 2000.0;
-    spec.batcher = pipeline::BatcherKind::Continuous;
     spec.maxBatch = 4;
     spec.batchWaitUs = 300;
     spec.pipelineServe = true;
@@ -1332,11 +1327,11 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     const JsonValue record = recordFor(spec, "pipelined");
     const JsonValue *serve = record.find("serve");
     ASSERT_NE(serve, nullptr);
-    EXPECT_EQ(serve->find("batcher")->stringValue(), "continuous");
+    EXPECT_FALSE(serve->has("batcher"));
     EXPECT_TRUE(serve->find("pipelined")->boolValue());
     EXPECT_EQ(serve->find("coalesce")->intValue(), 4);
     const JsonValue *spec_json = record.find("spec");
-    EXPECT_EQ(spec_json->find("batcher")->stringValue(), "continuous");
+    EXPECT_FALSE(spec_json->has("batcher"));
     EXPECT_EQ(spec_json->find("batch_wait_us")->intValue(), 300);
     EXPECT_TRUE(spec_json->find("pipeline")->boolValue());
 }
@@ -1349,8 +1344,7 @@ TEST(RunSpecParse, RemergeFlagParsesAndRoundTrips)
     std::string error;
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "on"},
+         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "on"},
         &spec, &error))
         << error;
     EXPECT_TRUE(spec.remerge);
@@ -1366,8 +1360,7 @@ TEST(RunSpecParse, RemergeFlagParsesAndRoundTrips)
     spec = RunSpec();
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "off"},
+         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "off"},
         &spec, &error))
         << error;
     EXPECT_FALSE(spec.remerge);
@@ -1382,8 +1375,7 @@ TEST(RunSpecParse, RemergeFlagErrors)
     // Re-merge lives inside the stage pipeline.
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--remerge", "on"},
+         "poisson", "--rate", "200", "--max-batch", "8", "--remerge", "on"},
         &spec, &error));
     EXPECT_NE(error.find("--pipeline"), std::string::npos) << error;
 
@@ -1400,8 +1392,7 @@ TEST(RunSpecParse, RemergeFlagErrors)
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "maybe"},
+         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "maybe"},
         &spec, &error));
     EXPECT_NE(error.find("--remerge"), std::string::npos) << error;
 }
@@ -1417,7 +1408,6 @@ TEST(Runner, RemergeServeJsonCarriesCountersOnlyWhenOn)
     spec.requests = 8;
     spec.arrival = pipeline::ArrivalKind::Fixed;
     spec.rateRps = 2000.0;
-    spec.batcher = pipeline::BatcherKind::Continuous;
     spec.maxBatch = 4;
     spec.batchWaitUs = 300;
     spec.pipelineServe = true;

@@ -729,21 +729,7 @@ TEST(RequestLifecycle, DeadlinePressureHintsTheServiceFunction)
               total);
 }
 
-// --------------------------------------------------- continuous batcher
-
-TEST(BatcherKind, NamesParseAndRoundTrip)
-{
-    for (pipeline::BatcherKind kind :
-         {pipeline::BatcherKind::Static,
-          pipeline::BatcherKind::Continuous}) {
-        pipeline::BatcherKind parsed;
-        ASSERT_TRUE(pipeline::tryParseBatcherKind(
-            pipeline::batcherKindName(kind), &parsed));
-        EXPECT_EQ(parsed, kind);
-    }
-    pipeline::BatcherKind parsed;
-    EXPECT_FALSE(pipeline::tryParseBatcherKind("dynamic", &parsed));
-}
+// ----------------------------------------------------- batch formation
 
 namespace {
 
@@ -766,7 +752,7 @@ struct BatchLog
 TEST(ContinuousBatcher, BatchCompositionIsDeterministicForAFixedSeed)
 {
     // One slot, the whole stream arrives in the first microseconds: the
-    // batch sequence the continuous batcher forms is a pure function of
+    // batch sequence the dispatcher forms is a pure function of
     // the (seeded) arrival schedule and the service times, which the
     // 2 ms sleep makes far coarser than scheduling noise. Two runs must
     // form identical batches.
@@ -777,7 +763,6 @@ TEST(ContinuousBatcher, BatchCompositionIsDeterministicForAFixedSeed)
         options.rateRps = 1e6;
         options.seed = 17;
         options.inflight = 1;
-        options.batcher = pipeline::BatcherKind::Continuous;
         options.maxBatch = 4;
         options.batchWaitUs = 200.0;
         pipeline::runServeLoop(
@@ -802,7 +787,6 @@ TEST(ContinuousBatcher, NeverExceedsMaxBatchAndServesEveryRequest)
     options.arrival = ArrivalKind::Fixed;
     options.rateRps = 1e6;
     options.inflight = 2;
-    options.batcher = pipeline::BatcherKind::Continuous;
     options.maxBatch = 3;
     options.batchWaitUs = 500.0;
     const ServeLoopResult result = pipeline::runServeLoop(
@@ -826,16 +810,15 @@ TEST(ContinuousBatcher, NeverExceedsMaxBatchAndServesEveryRequest)
 
 TEST(ContinuousBatcher, BatchWaitHoldsUnderFilledBatches)
 {
-    // Arrivals 200 us apart against a near-instant single slot. The
-    // static batcher never finds a backlog (every call serves 1); the
-    // continuous batcher holds each under-filled batch up to 20 ms, so
+    // Arrivals 200 us apart against a near-instant single slot. With
+    // no batch wait the dispatcher never finds a backlog (every call
+    // serves 1); a 20 ms wait holds each under-filled batch open, so
     // it must form multi-request batches — fewer calls than requests.
     const int total = 16;
     ServeLoopOptions options;
     options.arrival = ArrivalKind::Fixed;
     options.rateRps = 5000.0;
     options.inflight = 1;
-    options.batcher = pipeline::BatcherKind::Continuous;
     options.maxBatch = 4;
     options.batchWaitUs = 20000.0;
     const ServeLoopResult result = pipeline::runServeLoop(
