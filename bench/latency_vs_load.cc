@@ -148,23 +148,18 @@ run()
 
     // Serving-engine ladder on the multi-encoder workloads: the
     // unbatched engine vs queue batching (max batch 8) with
-    // stage-level pipelining vs the same plus in-flight wave-boundary
-    // re-merge, swept over the same offered-load ladder. The
-    // batching engine re-forms batches from whatever is queued
-    // (amortising per-request graph overhead under load) and overlaps
-    // one request's encoder wave with another's fusion/head stages;
-    // re-merge additionally lets a batch absorb a compatible batch at
-    // a shared wave frontier, so the wide fusion/head waves run at a
-    // larger batch than the queue happened to form. Past the knee the
-    // later engines should hold a lower p99 at the same rate — and
-    // therefore a higher max rate under a fixed p99 SLO. Runs here,
-    // before the JSONL sink closes, so the raw records land in the
-    // shared file.
-    static const char *const kEngines[] = {
-        "unbatched", "batch8+pipe", "batch8+pipe+remerge"};
+    // stage-level pipelining, swept over the same offered-load
+    // ladder. The batching engine re-forms batches from whatever is
+    // queued (amortising per-request graph overhead under load) and
+    // overlaps one request's encoder wave with another's fusion/head
+    // stages. Past the knee it should hold a lower p99 at the same
+    // rate — and therefore a higher max rate under a fixed p99 SLO.
+    // Runs here, before the JSONL sink closes, so the raw records land
+    // in the shared file.
+    static const char *const kEngines[] = {"unbatched", "batch8+pipe"};
     TextTable pipe_table({"Workload", "Engine", "Offered rps",
                           "Achieved rps", "p99", "Goodput rps",
-                          "Batches", "Merged waves"});
+                          "Batches"});
     struct EnginePoint
     {
         std::string workload;
@@ -191,7 +186,6 @@ run()
             if (engine_name != kEngines[0]) {
                 engine.maxBatch = 8;
                 engine.pipelineServe = true;
-                engine.remerge = engine_name == kEngines[2];
             }
             for (double f : pipe_fractions) {
                 engine.rateRps = f * wl_capacity;
@@ -202,12 +196,7 @@ run()
                      numfmt::f1(r.serve.achievedRps),
                      numfmt::f1(r.hostLatencyUs.p99),
                      numfmt::f1(r.serve.goodputRps),
-                     strfmt("%d", r.serve.batches),
-                     engine.remerge
-                         ? strfmt("%llu",
-                                  static_cast<unsigned long long>(
-                                      r.serve.remergedWaves))
-                         : "-"});
+                     strfmt("%d", r.serve.batches)});
                 engine_points.push_back({name, engine_name,
                                          std::move(r)});
             }
@@ -236,10 +225,9 @@ run()
     benchutil::note(
         "serving-engine ladder on the multi-encoder workloads: "
         "queue batching + stage-level pipelining (--max-batch 8 "
-        "--pipeline on), with and without in-flight wave-boundary "
-        "re-merge (--remerge on), vs the unbatched engine at the same "
-        "offered rates; per-request outputs are bitwise identical "
-        "across all three engines.");
+        "--pipeline on) vs the unbatched engine at the same offered "
+        "rates; per-request outputs are bitwise identical across both "
+        "engines.");
 
     // Per-engine SLO metric: the max swept rate whose p99 held the
     // target, side by side — the serving-scheduler win condition.

@@ -79,7 +79,6 @@ rm -f "$BUILD_DIR"/BENCH_smoke.jsonl "$BUILD_DIR"/BENCH_smoke.csv \
       "$BUILD_DIR"/BENCH_serve.jsonl \
       "$BUILD_DIR"/BENCH_serve_openloop.jsonl \
       "$BUILD_DIR"/BENCH_serve_pipeline.jsonl \
-      "$BUILD_DIR"/BENCH_serve_remerge.jsonl \
       "$BUILD_DIR"/BENCH_faults.jsonl \
       "$BUILD_DIR"/BENCH_ops_micro.jsonl \
       "$BUILD_DIR"/BENCH_fusion.jsonl \
@@ -170,63 +169,6 @@ print(f"pipelined-serve smoke OK: best-of-3 p99 unbatched {unbatched_p99:.0f} us
       f"{pipelined[0]['serve']['requests']} requests")
 EOF
 
-# Re-merge leg: a saturating Poisson stream on the batch+pipeline
-# engine, with and without in-flight wave-boundary re-merge. The batch
-# cap (32) is deliberately wide: re-merge only absorbs a peer while
-# the combined request count stays under the cap, so a tight cap at
-# saturation forms cap-full batches and rejects every candidate,
-# while a wide cap leaves dispatches sub-full and frontier holds fire
-# on every pass. Three paired passes, judged at best-of-three p99
-# like the pipelined leg. Validated below: the re-merge passes must
-# actually merge (remerged_waves > 0 summed over the passes), the
-# best-of-passes p99 must stay within noise of the batch+pipeline
-# engine alone (shared-runner hosts show up to ~4x p99 jitter between
-# identical serve runs, so the tail gate carries a 1.5x allowance —
-# it exists to catch real regressions, and in quiet windows re-merge
-# meets the strict criterion), and the off-path records must carry no
-# re-merge keys (the default JSONL stays byte-compatible).
-for _ in 1 2 3; do
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --max-batch 32 \
-        --pipeline on --quiet \
-        --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --max-batch 32 \
-        --pipeline on --remerge on --quiet \
-        --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
-done
-
-python3 - "$BUILD_DIR/BENCH_serve_remerge.jsonl" <<'EOF'
-import json, sys
-records = [json.loads(line) for line in open(sys.argv[1])]
-assert len(records) == 6, f"expected 3 baseline + 3 remerge runs, got {len(records)}"
-baseline = [r for r in records if "remerge" not in r["spec"]]
-remerge = [r for r in records if r["spec"].get("remerge") is True]
-assert len(baseline) == 3 and len(remerge) == 3, (len(baseline), len(remerge))
-for record in records:
-    serve = record["serve"]
-    assert serve["ok"] == serve["requests"], (
-        f"clean run lost requests: ok={serve['ok']} of {serve['requests']}")
-for record in baseline:
-    # Off-path records stay byte-compatible: no re-merge keys anywhere.
-    assert "remerged_waves" not in record["serve"]
-    assert "remerged_requests" not in record["serve"]
-merged_waves = sum(r["serve"]["remerged_waves"] for r in remerge)
-merged_requests = sum(r["serve"]["remerged_requests"] for r in remerge)
-assert merged_waves > 0, "re-merge never fired at the saturating rate"
-assert merged_requests >= merged_waves, (merged_requests, merged_waves)
-baseline_p99 = min(r["latency_us"]["p99"] for r in baseline)
-remerge_p99 = min(r["latency_us"]["p99"] for r in remerge)
-assert remerge_p99 <= 1.5 * baseline_p99, (
-    f"re-merge p99 {remerge_p99:.0f} us regressed past the noise allowance "
-    f"over batch+pipeline {baseline_p99:.0f} us")
-print(f"re-merge smoke OK: best-of-3 p99 batch+pipeline {baseline_p99:.0f} us -> "
-      f"+remerge {remerge_p99:.0f} us, {merged_waves} merged waves absorbing "
-      f"{merged_requests} requests across 3 passes")
-EOF
-
 # Fault-injection leg: the fault_tolerance experiment sweeps offered
 # load under a fixed fault cocktail, three ways per load point (clean /
 # faulted shed=on / faulted shed=off). Validated below: clean configs
@@ -280,11 +222,11 @@ EOF
 # off: the reference timing the fused path is compared against.
 MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
     --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
-    --fusion on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
+    --fusion-kernels on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
     --json "$BUILD_DIR/BENCH_fusion.jsonl"
 MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
     --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
-    --fusion on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
+    --fusion-kernels on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
     --json "$BUILD_DIR/BENCH_fusion.jsonl"
 MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
     --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
@@ -391,7 +333,6 @@ EOF
 python3 - "$BUILD_DIR/BENCH_smoke.jsonl" "$BUILD_DIR/BENCH_serve.jsonl" \
     "$BUILD_DIR/BENCH_serve_openloop.jsonl" \
     "$BUILD_DIR/BENCH_serve_pipeline.jsonl" \
-    "$BUILD_DIR/BENCH_serve_remerge.jsonl" \
     "$BUILD_DIR/BENCH_ops_micro.jsonl" \
     "$BUILD_DIR/BENCH_precision.jsonl" <<'EOF'
 import json, sys

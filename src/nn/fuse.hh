@@ -115,7 +115,7 @@ Var runFusionPlan(const FusionPlan &plan, const Var &x);
  * cover the workloads whose forwards are hand-written expressions
  * rather than Sequential chains (medical-seg skip selects, transfuser
  * hidden init, the residual/UNet encoder norms) — without them those
- * graphs plan zero fused groups and `--fusion on` is a no-op. ReLU
+ * graphs plan zero fused groups and `--fusion-kernels on` is a no-op. ReLU
  * epilogues are bitwise identical to the unfused pair; modules using
  * these should declareFusedPair(fusedPairName(...)) at construction so
  * the graph-level fusion report counts the site. @{

@@ -219,11 +219,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * (holding an under-filled batch up to `batchWaitUs` when it is
  * positive) or wait for the next arrival. Classless streams
  * run a single queue, so dequeues stay contiguous FIFO runs — the
- * historical dispatcher exactly. A batch dispatched under-filled is
- * not necessarily final, either: with `--remerge on` the stage pipe
- * can still absorb it into a compatible in-flight batch at a wave
- * boundary (stagepipe.hh), so the dispatcher never has to trade
- * queue delay against batch occupancy here.
+ * historical dispatcher exactly.
  *
  * Waiting is handed to a single designated slot: exactly one idle slot
  * owns the next-arrival timer (sleeping on the condition variable with

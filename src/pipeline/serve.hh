@@ -29,13 +29,6 @@
  * The schedule is generated from a seed before the clock starts, so a
  * fixed (kind, requests, rate, seed) tuple is bit-reproducible.
  *
- * Batch membership is final here only up to dispatch: with
- * `--remerge on` the downstream stage pipeline (stagepipe.hh) may
- * still absorb a dispatched batch into a compatible one already in
- * flight at the same wave frontier, so under-filled batches formed at
- * the queue boundary can recover queue-side batching misses without
- * the dispatcher holding arrivals back.
- *
  * Request lifecycle (fault-tolerant serving): every request ends in an
  * explicit outcome. The dispatcher owns the queue-side half — bounded
  * admission (`queueCap`, oldest arrivals shed when the arrived backlog

@@ -37,40 +37,6 @@
  * admission queue. Runnable jobs live on an intrusive ready list kept
  * in that order, so picking the next task is O(1) instead of a scan
  * over every in-flight job under the pipe lock.
- *
- * Re-merge (opt-in per request): batch membership is normally frozen
- * at dispatch — whatever batch the admission queue formed runs all its
- * waves as one unit, so the wide fusion/head waves execute at whatever
- * size the queue happened to produce. With `PipeRequest::remerge` set,
- * a job that reaches a wave boundary may absorb a compatible job
- * stalled at the same wave frontier: the live stage tensors of both
- * jobs are re-concatenated along batch dim 0 and the absorbed job
- * rides the merged batch until retirement, when the sink output is
- * split back per request (each request still observes its own output,
- * outcome and latency). Compatibility is strict — same graph (the
- * pipe is per-workload, which also pins the dtype), same wave index,
- * same drop-mask, same SLO class and priority, fault-free requests
- * only, and the merged request count stays within `mergeCap` — and
- * node kernels are row-stable (a row's value does not depend on the
- * batch size around it), so merged outputs are bitwise identical to
- * the un-merged pipelined engine.
- *
- * Merges trigger at two instants: when a request is submitted (it may
- * join a compatible batch parked at the wave-0 frontier) and when a
- * job's wave completes (the arriving job may absorb peers parked at
- * the same frontier). Because a parked frontier lasts only while every
- * runner is busy, an arriving job additionally *holds* — parks off the
- * ready list — when a compatible job one wave behind has its whole
- * wave started: that trailer reaches the same frontier within one task
- * span (mid-wave jobs are absorb-immune, so it always arrives) and
- * either merges with or releases the holder. The hold trades a bounded
- * single-task stall for the batching win, the same bet an iteration-
- * level scheduler makes at its step boundary. Buffers follow an arena
- * handoff:
- * the thread performing the merge allocates the concatenated tensors
- * and releases the member's superseded ones, so storage lands in the
- * shard of the thread driving the absorbing batch and nothing leaks
- * past a request's `RequestArenaScope`.
  */
 
 #ifndef MMBENCH_PIPELINE_STAGEPIPE_HH
@@ -78,7 +44,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -104,14 +69,6 @@ struct PipeRequest
     int faultAttempt = 0;
     /** Task priority (request-class priority; higher runs first). */
     int priority = 0;
-    /** SLO class id (re-merge compatibility key). */
-    int classId = 0;
-    /** Opt into wave-boundary re-merge with compatible in-flight jobs. */
-    bool remerge = false;
-    /** Queue requests coalesced into this batch (merge accounting). */
-    int requestCount = 1;
-    /** Max requests a merged batch may hold (--max-batch). */
-    int mergeCap = 1;
 };
 
 /** What one retired request produced. */
@@ -151,21 +108,11 @@ class StagePipe
     /** Requests currently inside execute() (test introspection). */
     int activeJobs() const;
 
-    /** Jobs parked in a frontier hold (test introspection). */
-    int heldJobs() const;
-
-    /** Wave-boundary merges performed (one per absorbed job). */
-    uint64_t remergedWaves() const;
-    /** Queue requests absorbed into an in-flight batch. */
-    uint64_t remergedRequests() const;
-
   private:
     struct Job;
 
     /** Advance `job` past finished waves; caller holds mu_. */
     void advanceWave(Job *job);
-    /** Pick the best runnable (job, task); caller holds mu_. */
-    Job *pickJob();
     /** Run one node task of `job`; called with `lock` held. */
     void runTask(Job *job, std::unique_lock<std::mutex> &lock);
 
@@ -173,26 +120,6 @@ class StagePipe
     void readyInsert(Job *job);
     /** Unlink `job` from the ready list (no-op when not linked). */
     void readyRemove(Job *job);
-    /**
-     * Merge `job` — which must sit at a wave frontier (no task of its
-     * current wave started) — with every compatible job stalled at the
-     * same frontier, absorbing into the lowest-seq participant. Called
-     * with `lock` held; unlocks while concatenating tensors (both jobs
-     * are quiescent and fenced off the ready list by their `merging`
-     * flags while unlocked).
-     */
-    void tryMerge(Job *job, std::unique_lock<std::mutex> &lock);
-    /**
-     * Park `job` (off the ready list) when a compatible job one wave
-     * behind has every task of that wave started: it arrives at this
-     * frontier within one task span, and the arrival either merges
-     * with or releases every holder. Caller holds mu_.
-     */
-    void holdForTrailer(Job *job);
-    /** Re-ready every job whose held-for target just arrived. */
-    void releaseHolders(Job *arrived);
-    /** Split a retiring merged job's sink rows back per request. */
-    void splitOutputs(Job *job);
 
     const StageGraph &graph_;
     const MemoryPlan *plan_;
@@ -208,8 +135,6 @@ class StagePipe
     Job *readyHead_ = nullptr;
     Job *readyTail_ = nullptr;
     uint64_t nextSeq_ = 0;
-    uint64_t remergedWaves_ = 0;
-    uint64_t remergedRequests_ = 0;
 };
 
 } // namespace pipeline

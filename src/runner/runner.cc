@@ -498,10 +498,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
                                       .at(static_cast<size_t>(
                                           call.classId))
                                       .priority;
-                        preq.classId = call.classId;
-                        preq.remerge = spec.remerge;
-                        preq.requestCount = call.count;
-                        preq.mergeCap = spec.maxBatch;
                         const pipeline::PipeCompletion done =
                             pipe->execute(preq);
                         sr.faultsInjected += done.injectedSlowdowns;
@@ -571,10 +567,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     result->serve.coalesce = spec.maxBatch;
     result->serve.pipelined = spec.pipelineServe;
     result->serve.batches = stream.serviceCalls;
-    if (pipe) {
-        result->serve.remergedWaves = pipe->remergedWaves();
-        result->serve.remergedRequests = pipe->remergedRequests();
-    }
     result->serve.ok = stream.ok;
     result->serve.degraded = stream.degraded;
     result->serve.shed = stream.shed;

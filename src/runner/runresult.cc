@@ -95,8 +95,6 @@ RunResult::toJson() const
         spec_json.set("classes", spec.classes);
     if (spec.pipelineServe)
         spec_json.set("pipeline", true);
-    if (spec.remerge)
-        spec_json.set("remerge", true);
     // Fault-tolerance knobs (additive v1 fields).
     spec_json.set("faults", spec.faults);
     spec_json.set("queue_cap", static_cast<int64_t>(spec.queueCap));
@@ -184,13 +182,6 @@ RunResult::toJson() const
         // the default unpipelined record stays byte-identical).
         if (serve.pipelined)
             serve_json.set("pipelined", true);
-        if (spec.remerge) {
-            serve_json.set("remerged_waves",
-                           static_cast<int64_t>(serve.remergedWaves));
-            serve_json.set(
-                "remerged_requests",
-                static_cast<int64_t>(serve.remergedRequests));
-        }
         if (!serve.classes.empty()) {
             core::JsonValue classes_json = core::JsonValue::array();
             for (const ClassStats &cs : serve.classes) {

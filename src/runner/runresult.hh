@@ -116,13 +116,6 @@ struct ServeStats
     bool pipelined = false;
     /** Service invocations (< requests when coalescing kicked in). */
     int batches = 0;
-    /**
-     * Wave-boundary batch merges inside the pipe and the queue
-     * requests they absorbed (spec.remerge; emitted only when on so
-     * the default-path schema is unchanged).
-     */
-    uint64_t remergedWaves = 0;
-    uint64_t remergedRequests = 0;
     /** Per-class aggregates (spec.classes); empty when classless. */
     std::vector<ClassStats> classes;
     /** Queue wait per request (arrival -> service start). */

@@ -135,10 +135,6 @@ RunSpec::toArgs() const
         args.push_back("--pipeline");
         args.push_back("on");
     }
-    if (remerge) {
-        args.push_back("--remerge");
-        args.push_back("on");
-    }
     if (!faults.empty()) {
         args.push_back("--faults");
         args.push_back(faults);
@@ -152,10 +148,7 @@ RunSpec::toArgs() const
     args.push_back("--shed");
     args.push_back(shed ? "on" : "off");
     if (fuseKernels) {
-        // Emitted after the modality-fusion kind (if any): the parser
-        // folds "on"/"off" into fuseKernels and any other value into
-        // fusionKind, so both survive the round trip.
-        args.push_back("--fusion");
+        args.push_back("--fusion-kernels");
         args.push_back("on");
     }
     if (autotune != solver::AutotuneMode::Off) {
@@ -196,8 +189,6 @@ RunSpec::toString() const
         text += strfmt(" classes=%s", classes.c_str());
     if (pipelineServe)
         text += " pipeline=on";
-    if (remerge)
-        text += " remerge=on";
     if (fuseKernels)
         text += strfmt(" fuse_kernels=on autotune=%s",
                        solver::autotuneModeName(autotune));
@@ -249,6 +240,22 @@ parseDouble(const std::string &text, double *out)
     return true;
 }
 
+/** Parse an on/off switch value (also true/false and 1/0). */
+bool
+parseOnOff(const std::string &text, bool *out)
+{
+    const std::string v = toLower(text);
+    if (v == "on" || v == "true" || v == "1") {
+        *out = true;
+        return true;
+    }
+    if (v == "off" || v == "false" || v == "0") {
+        *out = false;
+        return true;
+    }
+    return false;
+}
+
 /** The flag grammar shared by spec and template parsing. */
 bool
 parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
@@ -266,25 +273,22 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
         if (flag == "--workload") {
             spec->workload = toLower(value);
         } else if (flag == "--fusion") {
-            // Overloaded: "on"/"off" toggle kernel fusion (the solver
-            // registry's fused Linear/Conv/norm+act path); any other
-            // value names a modality-fusion implementation.
-            const std::string f = toLower(value);
             fusion::FusionKind kind;
-            if (f == "on") {
-                spec->fuseKernels = true;
-            } else if (f == "off") {
-                spec->fuseKernels = false;
-            } else if (fusion::tryParseFusionKind(value, &kind)) {
-                spec->hasFusion = true;
-                spec->fusionKind = kind;
-            } else {
+            if (!fusion::tryParseFusionKind(value, &kind)) {
                 *error = strfmt(
-                    "unknown fusion '%s' (expected on/off for kernel "
-                    "fusion, or a modality fusion kind: zero, sum, "
-                    "concat, tensor, attention, linearglu, "
-                    "transformer, late_lstm)",
+                    "unknown fusion '%s' (expected a modality fusion "
+                    "kind: zero, sum, concat, tensor, attention, "
+                    "linearglu, transformer, late_lstm; kernel fusion "
+                    "is --fusion-kernels on|off)",
                     value.c_str());
+                return false;
+            }
+            spec->hasFusion = true;
+            spec->fusionKind = kind;
+        } else if (flag == "--fusion-kernels") {
+            if (!parseOnOff(value, &spec->fuseKernels)) {
+                *error = strfmt("--fusion-kernels expects on or off, "
+                                "got '%s'", value.c_str());
                 return false;
             }
         } else if (flag == "--autotune") {
@@ -445,24 +449,8 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             // flag order can't change whether a spec parses.
             spec->classes = value;
         } else if (flag == "--pipeline") {
-            const std::string p = toLower(value);
-            if (p == "on" || p == "true" || p == "1") {
-                spec->pipelineServe = true;
-            } else if (p == "off" || p == "false" || p == "0") {
-                spec->pipelineServe = false;
-            } else {
+            if (!parseOnOff(value, &spec->pipelineServe)) {
                 *error = strfmt("--pipeline expects on or off, got "
-                                "'%s'", value.c_str());
-                return false;
-            }
-        } else if (flag == "--remerge") {
-            const std::string p = toLower(value);
-            if (p == "on" || p == "true" || p == "1") {
-                spec->remerge = true;
-            } else if (p == "off" || p == "false" || p == "0") {
-                spec->remerge = false;
-            } else {
-                *error = strfmt("--remerge expects on or off, got "
                                 "'%s'", value.c_str());
                 return false;
             }
@@ -497,12 +485,7 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             }
             spec->retries = static_cast<int>(v);
         } else if (flag == "--shed") {
-            const std::string s = toLower(value);
-            if (s == "on" || s == "true" || s == "1") {
-                spec->shed = true;
-            } else if (s == "off" || s == "false" || s == "0") {
-                spec->shed = false;
-            } else {
+            if (!parseOnOff(value, &spec->shed)) {
                 *error = strfmt("--shed expects on or off, got '%s'",
                                 value.c_str());
                 return false;
@@ -609,34 +592,18 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             return false;
         }
     }
-    if (spec->remerge) {
-        // Re-merge happens at wave boundaries inside the stage
-        // pipeline, and with --max-batch 1 a merge could never fire;
-        // rejecting both keeps emitted records honest about what ran.
-        if (!spec->pipelineServe) {
-            *error = "--remerge re-merges in-flight batches at wave "
-                     "boundaries inside the stage pipeline; add "
-                     "--pipeline on";
-            return false;
-        }
-        if (spec->maxBatch < 2) {
-            *error = "--remerge merges up to --max-batch requests "
-                     "into one batch; pass --max-batch 2 or higher";
-            return false;
-        }
-    }
     if (!spec->fuseKernels) {
         // Autotuning and the perf-db only exist on the fused path;
         // rejecting them keeps records honest about what ran.
         if (spec->autotune != solver::AutotuneMode::Off) {
             *error = strfmt("--autotune %s searches over fused-kernel "
-                            "solvers; add --fusion on",
+                            "solvers; add --fusion-kernels on",
                             solver::autotuneModeName(spec->autotune));
             return false;
         }
         if (!spec->perfdb.empty()) {
             *error = "--perfdb names the fused-kernel autotuning "
-                     "cache; add --fusion on";
+                     "cache; add --fusion-kernels on";
             return false;
         }
     }

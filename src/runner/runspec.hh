@@ -84,13 +84,6 @@ struct RunSpec
      * slot running its graph as an indivisible unit.
      */
     bool pipelineServe = false;
-    /**
-     * Pipelined serve: re-merge compatible in-flight requests at wave
-     * boundaries (a request finishing its encoder wave joins a batch
-     * already in flight at the same frontier). Requires --pipeline on
-     * and --max-batch >= 2; outputs stay bitwise identical.
-     */
-    bool remerge = false;
     /** Serve mode: fault-injection spec (faults.hh grammar); "" = none. */
     std::string faults;
     /** Serve mode, open loop: admission-queue bound; 0 = unbounded. */
@@ -103,15 +96,14 @@ struct RunSpec
     bool shed = true;
 
     /**
-     * Kernel fusion (`--fusion on|off`): route inference through the
-     * solver registry, collapsing Linear/Conv/norm + activation pairs
-     * into single fused kernels. Off (the default) leaves every
-     * pre-existing code path — and its bitwise output — untouched.
-     * Note `--fusion` is overloaded: any other value selects the
-     * modality-fusion implementation (fusionKind above).
+     * Kernel fusion (`--fusion-kernels on|off`): route inference
+     * through the solver registry, collapsing Linear/Conv/norm +
+     * activation pairs into single fused kernels. Off (the default)
+     * leaves every pre-existing code path — and its bitwise output —
+     * untouched.
      */
     bool fuseKernels = false;
-    /** Solver autotuning policy; needs --fusion on when not off. */
+    /** Solver autotuning policy; needs --fusion-kernels on when not off. */
     solver::AutotuneMode autotune = solver::AutotuneMode::Off;
     /** Perf-db path override; "" = $MMBENCH_PERFDB or the default. */
     std::string perfdb;
@@ -147,8 +139,9 @@ struct RunSpec
  * "--threads", "--scale", "--seed", "--warmup", "--repeat",
  * "--device", "--sched", "--inflight", "--requests", "--arrival",
  * "--rate", "--max-batch", "--batch-wait-us", "--classes",
- * "--pipeline", "--remerge", "--faults", "--queue-cap",
- * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec.
+ * "--pipeline", "--faults", "--queue-cap", "--deadline-ms",
+ * "--retries", "--shed", "--fusion-kernels", "--autotune", "--perfdb",
+ * "--dtype") into *spec.
  * Flags not present keep the spec's current values, so callers can
  * pre-seed defaults. Fails with a message in *error on unknown flags,
  * malformed values, or unknown workload/fusion/device names; the

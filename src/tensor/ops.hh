@@ -285,7 +285,7 @@ Tensor layernormBackward(const Tensor &grad_out, const Tensor &x,
  * activation are applied at the producer kernel's write-back while the
  * tile is cache-hot. Each emits a single `fused:<pattern>` KernelEvent
  * under the producer's kernel class (Gemm / Conv / BNorm) so the
- * Fig. 8 class breakdown stays comparable across --fusion on|off.
+ * Fig. 8 class breakdown stays comparable across --fusion-kernels on|off.
  * With GemmAlgo/ConvAlgo::Auto and ActKind::Relu the results are
  * bitwise identical to the unfused kernel sequence (the epilogue reads
  * the fully accumulated element and applies the exact same float ops);

@@ -147,13 +147,6 @@ class PoolDisableScope
  * inflict on each other). Normally-sized requests — shard at or under
  * the budget — keep their whole working set local for the next
  * request on the slot.
- *
- * Serve-mode batch re-merge piggybacks on this model: when the stage
- * pipe absorbs one in-flight batch into another, the thread driving
- * the absorbing batch both allocates the merged tensors and releases
- * the member's superseded ones, so every block involved lands in that
- * thread's shard — the handoff moves storage between requests without
- * any block escaping the scope discipline above.
  */
 class RequestArenaScope
 {

@@ -706,51 +706,69 @@ TEST(StagePipe, BitwiseMatchesUnpipelinedAcrossThreadCounts)
     // requests (one request's encoders overlap another's fusion/head).
     // Node bodies are deterministic functions of their slot inputs, so
     // every request's output must stay bitwise identical to the
-    // ambient unpipelined forward, whatever the slot count.
+    // ambient unpipelined forward, whatever the slot count. Two inputs
+    // per workload: four full-fidelity requests, and six concurrent
+    // requests mixing drop masks, so pruned and unpruned jobs share
+    // the ready list.
+    const std::vector<std::vector<uint32_t>> mask_sets = {
+        {0, 0, 0, 0}, {0, 0, 0b0010, 0, 0b0010, 0}};
     for (const char *name : {"transfuser", "medical-seg"}) {
         auto w = models::WorkloadRegistry::instance().createDefault(
             name, 0.35f);
         w->train(false);
-        auto task = w->makeTask(11);
-        const int requests = 4;
-        std::vector<data::Batch> batches;
-        for (int r = 0; r < requests; ++r)
-            batches.push_back(task.sample(2));
-
-        std::vector<tensor::Tensor> reference;
-        for (const data::Batch &b : batches)
-            reference.push_back(
-                forwardWith(*w, b, SchedPolicy::Sequential, 1));
-
-        // Lazy graph/plan construction is single-threaded by contract:
-        // prime both before requests race into the pipe.
+        // Lazy graph/plan/imputation construction is single-threaded
+        // by contract: prime all three before requests race in.
+        w->primeDegraded();
         const pipeline::StageGraph &graph = w->stageGraph();
         const pipeline::MemoryPlan &plan =
             w->memoryPlan(SchedPolicy::Parallel);
+        auto task = w->makeTask(11);
 
-        for (int threads : {1, 4}) {
-            core::ScopedNumThreads guard(threads);
-            pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
-            std::vector<tensor::Tensor> outputs(
-                static_cast<size_t>(requests));
-            core::parallelFor(
-                0, requests, 1, [&](int64_t begin, int64_t end) {
-                    autograd::NoGradGuard no_grad;
-                    for (int64_t r = begin; r < end; ++r) {
-                        pipeline::PipeRequest req;
-                        req.batch = &batches[static_cast<size_t>(r)];
-                        outputs[static_cast<size_t>(r)] =
-                            pipe.execute(req).output.value();
-                    }
-                });
+        for (const std::vector<uint32_t> &masks : mask_sets) {
+            const int requests = static_cast<int>(masks.size());
+            std::vector<data::Batch> batches;
             for (int r = 0; r < requests; ++r)
-                expectBitwiseEqual(
-                    reference[static_cast<size_t>(r)],
-                    outputs[static_cast<size_t>(r)],
-                    std::string(name) + " pipelined t" +
-                        std::to_string(threads) + " r" +
-                        std::to_string(r));
-            EXPECT_EQ(pipe.activeJobs(), 0);
+                batches.push_back(task.sample(2));
+
+            std::vector<tensor::Tensor> reference;
+            for (int r = 0; r < requests; ++r) {
+                core::ScopedNumThreads guard(1);
+                autograd::NoGradGuard no_grad;
+                pipeline::ScheduleOptions opts;
+                opts.policy = SchedPolicy::Sequential;
+                opts.dropMask = masks[static_cast<size_t>(r)];
+                reference.push_back(
+                    w->forwardGraph(batches[static_cast<size_t>(r)],
+                                    opts)
+                        .value());
+            }
+
+            for (int threads : {1, 4}) {
+                core::ScopedNumThreads guard(threads);
+                pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
+                std::vector<tensor::Tensor> outputs(
+                    static_cast<size_t>(requests));
+                core::parallelFor(
+                    0, requests, 1, [&](int64_t begin, int64_t end) {
+                        autograd::NoGradGuard no_grad;
+                        for (int64_t r = begin; r < end; ++r) {
+                            pipeline::PipeRequest req;
+                            req.batch = &batches[static_cast<size_t>(r)];
+                            req.dropMask = masks[static_cast<size_t>(r)];
+                            outputs[static_cast<size_t>(r)] =
+                                pipe.execute(req).output.value();
+                        }
+                    });
+                for (int r = 0; r < requests; ++r)
+                    expectBitwiseEqual(
+                        reference[static_cast<size_t>(r)],
+                        outputs[static_cast<size_t>(r)],
+                        std::string(name) + " pipelined n" +
+                            std::to_string(requests) + " t" +
+                            std::to_string(threads) + " r" +
+                            std::to_string(r));
+                EXPECT_EQ(pipe.activeJobs(), 0);
+            }
         }
     }
 }
@@ -841,532 +859,6 @@ TEST(StagePipe, InjectedFailureRethrowsOnTheOwningRequest)
     EXPECT_EQ(done.injectedSlowdowns, run.injectedSlowdowns);
     expectBitwiseEqual(reference, done.output.value(),
                        "av-mnist slowed pipelined");
-}
-
-// --------------------------------------------------- StagePipe re-merge
-
-namespace {
-
-/** Spin until `flag` is set; false on a 30 s timeout (broken pipe). */
-bool waitForFlag(const std::atomic<bool> &flag)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!flag) {
-        if (std::chrono::steady_clock::now() > deadline)
-            return false;
-        std::this_thread::yield();
-    }
-    return true;
-}
-
-/**
- * A 3-node graph whose encoder bodies latch (park their executing
- * thread) on their FIRST invocation only — the choreography tool the
- * deterministic re-merge tests use to pin jobs at the wave-0 frontier.
- * Weights are fixed by a hardcoded seed, so every instance computes
- * the same function; the matmul is [B,512]x[512,64], which crosses the
- * small-GEMM cutoff between B=2 and the merged B=4 (the row-stability
- * boundary test_tensor_ops.cc pins).
- */
-struct LatchedTwoEncoderGraph
-{
-    pipeline::StageGraph graph;
-    tensor::Tensor w0, w1, wHead;
-    std::atomic<int> enc0Calls{0}, enc1Calls{0};
-    std::atomic<bool> enc0Entered{false}, enc1Entered{false};
-    std::atomic<bool> release{false};
-
-    LatchedTwoEncoderGraph()
-    {
-        Rng rng(29);
-        w0 = tensor::Tensor::randn({512, 64}, rng);
-        w1 = tensor::Tensor::randn({512, 64}, rng);
-        wHead = tensor::Tensor::randn({64, 48}, rng);
-
-        pipeline::StageNode n0;
-        n0.name = "enc0";
-        n0.modality = 0;
-        n0.body = [this](pipeline::ExecContext &ctx) {
-            if (enc0Calls.fetch_add(1) == 0) {
-                enc0Entered = true;
-                while (!release)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(100));
-            }
-            ctx.slots[0] =
-                Var(tensor::matmul(ctx.batch->modalities[0], w0));
-        };
-        pipeline::StageNode n1;
-        n1.name = "enc1";
-        n1.modality = 1;
-        n1.body = [this](pipeline::ExecContext &ctx) {
-            if (enc1Calls.fetch_add(1) == 0) {
-                enc1Entered = true;
-                while (!release)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(100));
-            }
-            ctx.slots[1] =
-                Var(tensor::matmul(ctx.batch->modalities[1], w1));
-        };
-        const size_t i0 = graph.addNode(std::move(n0));
-        const size_t i1 = graph.addNode(std::move(n1));
-        pipeline::StageNode head;
-        head.name = "head";
-        head.deps = {i0, i1};
-        head.body = [this](pipeline::ExecContext &ctx) {
-            const tensor::Tensor s0 = featureOrZero(ctx, 0);
-            const tensor::Tensor s1 = featureOrZero(ctx, 1);
-            ctx.slots[2] =
-                Var(tensor::matmul(tensor::add(s0, s1), wHead));
-        };
-        graph.addNode(std::move(head));
-    }
-
-    /** Drop-mask zero imputation, same shape rule as the workloads. */
-    static tensor::Tensor featureOrZero(pipeline::ExecContext &ctx,
-                                        size_t slot)
-    {
-        if (ctx.slots[slot].defined())
-            return ctx.slots[slot].value();
-        return tensor::Tensor::zeros({ctx.batch->size, 64});
-    }
-
-    /** The same computation, unpipelined, for one batch. */
-    tensor::Tensor reference(const data::Batch &batch,
-                             uint32_t drop_mask) const
-    {
-        auto enc = [&](size_t m, const tensor::Tensor &w) {
-            if ((drop_mask >> m) & 1u)
-                return tensor::Tensor::zeros({batch.size, 64});
-            return tensor::matmul(batch.modalities[m], w);
-        };
-        return tensor::matmul(tensor::add(enc(0, w0), enc(1, w1)),
-                              wHead);
-    }
-};
-
-data::Batch makeLatchBatch(int64_t rows, uint64_t seed)
-{
-    Rng rng(seed);
-    data::Batch b;
-    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
-    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
-    b.size = rows;
-    return b;
-}
-
-struct RemergeScenarioOutcome
-{
-    bool timedOut = true;
-    uint64_t waves = 0;
-    uint64_t requests = 0;
-    int prunedC = 0;
-    tensor::Tensor outA, outB, outC;
-};
-
-/**
- * The deterministic frontier choreography every latch test shares.
- * Thread 1 submits A (no re-merge) and latches inside A.enc0; thread 2
- * submits B and — oldest-job-first task order — latches inside A.enc1;
- * thread 3 submits C while B is provably parked at its wave-0 frontier
- * with no free thread, the exact state submission-time tryMerge
- * handles. B/C requests default to remerge with cap 8 and are then
- * shaped by the tweak hooks; whether the merge fires is the variant
- * under test. C's owner runs every job that is still runnable, so the
- * scenario always drains without releasing the latches early.
- */
-RemergeScenarioOutcome runLatchedRemergeScenario(
-    const std::function<void(pipeline::PipeRequest &)> &tweak_b,
-    const std::function<void(pipeline::PipeRequest &)> &tweak_c)
-{
-    LatchedTwoEncoderGraph g;
-    const data::Batch a = makeLatchBatch(1, 101);
-    const data::Batch b = makeLatchBatch(2, 102);
-    const data::Batch c = makeLatchBatch(2, 103);
-
-    RemergeScenarioOutcome out;
-    pipeline::StagePipe pipe(g.graph, nullptr, 0);
-    std::atomic<bool> c_done{false};
-
-    std::thread t1([&] {
-        autograd::NoGradGuard no_grad;
-        pipeline::PipeRequest req;
-        req.batch = &a;
-        out.outA = pipe.execute(req).output.value();
-    });
-    std::thread t2, t3;
-    bool ok = waitForFlag(g.enc0Entered);
-    if (ok) {
-        t2 = std::thread([&] {
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &b;
-            req.remerge = true;
-            req.mergeCap = 8;
-            tweak_b(req);
-            out.outB = pipe.execute(req).output.value();
-        });
-        ok = waitForFlag(g.enc1Entered);
-    }
-    if (ok) {
-        t3 = std::thread([&] {
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &c;
-            req.remerge = true;
-            req.mergeCap = 8;
-            tweak_c(req);
-            const pipeline::PipeCompletion done = pipe.execute(req);
-            out.outC = done.output.value();
-            out.prunedC = done.prunedNodes;
-            c_done = true;
-        });
-        ok = waitForFlag(c_done);
-    }
-    g.release = true; // unblock latched threads even on timeout
-    t1.join();
-    if (t2.joinable())
-        t2.join();
-    if (t3.joinable())
-        t3.join();
-
-    out.timedOut = !ok;
-    out.waves = pipe.remergedWaves();
-    out.requests = pipe.remergedRequests();
-    EXPECT_EQ(pipe.activeJobs(), 0);
-
-    // References from a fresh instance: the weights are seed-pinned.
-    LatchedTwoEncoderGraph ref;
-    expectBitwiseEqual(ref.reference(a, 0), out.outA, "latch job A");
-    expectBitwiseEqual(ref.reference(b, 0), out.outB, "latch job B");
-    uint32_t mask_c = 0;
-    {
-        pipeline::PipeRequest probe;
-        tweak_c(probe);
-        mask_c = probe.dropMask;
-    }
-    expectBitwiseEqual(ref.reference(c, mask_c), out.outC,
-                       "latch job C");
-    return out;
-}
-
-} // namespace
-
-TEST(StagePipe, RemergeAbsorbsFrontierJobDeterministically)
-{
-    // C arrives while B is parked at its wave-0 frontier and every
-    // thread is busy — submission-time tryMerge must absorb C into B
-    // (the older job), and splitting at retirement must hand C its own
-    // rows back. The merged encoder matmul runs at 4 rows where the
-    // per-request reference runs at 2, crossing the small-GEMM cutoff,
-    // so this is also the end-to-end row-stability check.
-    const RemergeScenarioOutcome out = runLatchedRemergeScenario(
-        [](pipeline::PipeRequest &) {},
-        [](pipeline::PipeRequest &) {});
-    ASSERT_FALSE(out.timedOut);
-    EXPECT_EQ(out.waves, 1u);
-    EXPECT_EQ(out.requests, 1u);
-}
-
-TEST(StagePipe, RemergeRejectsEveryIncompatibility)
-{
-    // Same choreography as the deterministic-merge test, but each
-    // variant breaks exactly one compatibility rule: the merge must
-    // not fire, and every output must still be bitwise correct.
-    struct Variant
-    {
-        const char *label;
-        std::function<void(pipeline::PipeRequest &)> tweakB;
-        std::function<void(pipeline::PipeRequest &)> tweakC;
-    };
-    pipeline::FaultPlan inert;
-    std::string error;
-    ASSERT_TRUE(pipeline::parseFaultPlan("slow:node=nomatch:p=1:x=2",
-                                         11, &inert, &error))
-        << error;
-
-    const Variant variants[] = {
-        {"C opted out",
-         [](pipeline::PipeRequest &) {},
-         [](pipeline::PipeRequest &req) { req.remerge = false; }},
-        {"B opted out",
-         [](pipeline::PipeRequest &req) { req.remerge = false; },
-         [](pipeline::PipeRequest &) {}},
-        {"drop masks differ",
-         [](pipeline::PipeRequest &) {},
-         [](pipeline::PipeRequest &req) { req.dropMask = 0b10; }},
-        {"SLO classes differ",
-         [](pipeline::PipeRequest &) {},
-         [](pipeline::PipeRequest &req) { req.classId = 1; }},
-        {"priorities differ",
-         [](pipeline::PipeRequest &) {},
-         [](pipeline::PipeRequest &req) { req.priority = 1; }},
-        {"faulted request",
-         [](pipeline::PipeRequest &) {},
-         [&inert](pipeline::PipeRequest &req) { req.faults = &inert; }},
-        {"merged size exceeds cap",
-         [](pipeline::PipeRequest &req) {
-             req.requestCount = 2;
-             req.mergeCap = 3;
-         },
-         [](pipeline::PipeRequest &req) {
-             req.requestCount = 2;
-             req.mergeCap = 3;
-         }},
-    };
-    for (const Variant &v : variants) {
-        SCOPED_TRACE(v.label);
-        const RemergeScenarioOutcome out =
-            runLatchedRemergeScenario(v.tweakB, v.tweakC);
-        ASSERT_FALSE(out.timedOut);
-        EXPECT_EQ(out.waves, 0u);
-        EXPECT_EQ(out.requests, 0u);
-    }
-}
-
-TEST(StagePipe, RemergeHoldsForImminentTrailerAtWaveFrontier)
-{
-    // The hold path: D reaches the wave-1 frontier while B — one wave
-    // behind, every wave-0 task started (latched mid-body) — is about
-    // to arrive there. D must park off the ready list instead of
-    // racing ahead; releasing the latches lets B arrive and absorb D
-    // at the shared frontier. C is a re-merge-neutral bystander whose
-    // owner thread starts B's second encoder.
-    LatchedTwoEncoderGraph g;
-    const data::Batch b = makeLatchBatch(2, 111);
-    const data::Batch c = makeLatchBatch(1, 112);
-    const data::Batch d = makeLatchBatch(2, 113);
-
-    pipeline::StagePipe pipe(g.graph, nullptr, 0);
-    tensor::Tensor out_b, out_c, out_d;
-
-    std::thread t1([&] {
-        autograd::NoGradGuard no_grad;
-        pipeline::PipeRequest req;
-        req.batch = &b;
-        req.remerge = true;
-        req.mergeCap = 8;
-        out_b = pipe.execute(req).output.value();
-    });
-    std::thread t2, t3;
-    bool ok = waitForFlag(g.enc0Entered);
-    if (ok) {
-        t2 = std::thread([&] {
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &c;
-            out_c = pipe.execute(req).output.value();
-        });
-        ok = waitForFlag(g.enc1Entered);
-    }
-    bool held = false;
-    if (ok) {
-        t3 = std::thread([&] {
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &d;
-            req.remerge = true;
-            req.mergeCap = 8;
-            out_d = pipe.execute(req).output.value();
-        });
-        // D finishes C and its own encoders, then must enter the hold.
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::seconds(30);
-        while (pipe.heldJobs() == 0 &&
-               std::chrono::steady_clock::now() < deadline)
-            std::this_thread::yield();
-        held = pipe.heldJobs() == 1;
-    }
-    g.release = true;
-    t1.join();
-    if (t2.joinable())
-        t2.join();
-    if (t3.joinable())
-        t3.join();
-
-    ASSERT_TRUE(ok);
-    EXPECT_TRUE(held);
-    EXPECT_EQ(pipe.remergedWaves(), 1u);
-    EXPECT_EQ(pipe.remergedRequests(), 1u);
-    EXPECT_EQ(pipe.activeJobs(), 0);
-    EXPECT_EQ(pipe.heldJobs(), 0);
-
-    LatchedTwoEncoderGraph ref;
-    expectBitwiseEqual(ref.reference(b, 0), out_b, "hold job B");
-    expectBitwiseEqual(ref.reference(c, 0), out_c, "hold job C");
-    expectBitwiseEqual(ref.reference(d, 0), out_d, "hold job D");
-}
-
-TEST(StagePipe, RemergeForcedOnRealWorkloadStaysBitwise)
-{
-    // Force a merge on a real workload: a fault-plan straggler job
-    // occupies the task runners (faulted jobs never merge but do hog
-    // threads), so the next two re-merge requests meet at the wave-0
-    // frontier. The huge factor pins every preprocess stall at the
-    // injection cap (kMaxInjectedStallUs per node), so the hog's
-    // lifetime dwarfs thread wake-up latency regardless of how small
-    // the measured span is; the scenario retries to absorb the rest.
-    auto w = models::WorkloadRegistry::instance().createDefault(
-        "transfuser", 0.25f);
-    w->train(false);
-    auto task = w->makeTask(17);
-    const data::Batch hog = task.sample(1);
-    const data::Batch b1 = task.sample(2);
-    const data::Batch b2 = task.sample(2);
-
-    const tensor::Tensor ref_hog =
-        forwardWith(*w, hog, SchedPolicy::Sequential, 1);
-    const tensor::Tensor ref1 =
-        forwardWith(*w, b1, SchedPolicy::Sequential, 1);
-    const tensor::Tensor ref2 =
-        forwardWith(*w, b2, SchedPolicy::Sequential, 1);
-
-    const pipeline::StageGraph &graph = w->stageGraph();
-    const pipeline::MemoryPlan &plan =
-        w->memoryPlan(SchedPolicy::Parallel);
-
-    pipeline::FaultPlan faults;
-    std::string error;
-    ASSERT_TRUE(pipeline::parseFaultPlan(
-        "slow:node=preprocess:*:p=1:x=100000", 7, &faults, &error))
-        << error;
-
-    bool merged = false;
-    for (int attempt = 0; attempt < 5 && !merged; ++attempt) {
-        pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
-        std::atomic<bool> go_b{false}, go_c{false};
-        tensor::Tensor out_hog, out1, out2;
-
-        std::thread t1([&] {
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &hog;
-            req.faults = &faults;
-            out_hog = pipe.execute(req).output.value();
-        });
-        // Sleeping (rather than yielding) keeps the waiters off the
-        // core: the straggler fault busy-extends the hog's *measured*
-        // span, so spinning peers would stretch the very window the
-        // choreography depends on.
-        auto naplUntil = [](const std::atomic<bool> &flag) {
-            while (!flag)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-        };
-        std::thread t2([&] {
-            naplUntil(go_b);
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &b1;
-            req.remerge = true;
-            req.mergeCap = 8;
-            out1 = pipe.execute(req).output.value();
-        });
-        std::thread t3([&] {
-            naplUntil(go_c);
-            autograd::NoGradGuard no_grad;
-            pipeline::PipeRequest req;
-            req.batch = &b2;
-            req.remerge = true;
-            req.mergeCap = 8;
-            out2 = pipe.execute(req).output.value();
-        });
-
-        // Stagger submissions so B is in flight (and, with the hog
-        // monopolizing the runners, frontier-parked) before C arrives.
-        // Bounded waits: a missed window just wastes this attempt.
-        auto waitActive = [&](int n) {
-            const auto deadline = std::chrono::steady_clock::now() +
-                                  std::chrono::seconds(5);
-            while (pipe.activeJobs() < n &&
-                   std::chrono::steady_clock::now() < deadline)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-        };
-        waitActive(1);
-        go_b = true;
-        waitActive(2);
-        go_c = true;
-
-        t1.join();
-        t2.join();
-        t3.join();
-
-        // Bitwise identity must hold whether or not the merge won the
-        // race on this attempt.
-        expectBitwiseEqual(ref_hog, out_hog, "hog request");
-        expectBitwiseEqual(ref1, out1, "re-merge request 1");
-        expectBitwiseEqual(ref2, out2, "re-merge request 2");
-        EXPECT_EQ(pipe.activeJobs(), 0);
-        merged = pipe.remergedWaves() > 0;
-    }
-    EXPECT_TRUE(merged)
-        << "no merge fired in 5 hog-forced attempts";
-}
-
-TEST(StagePipe, RemergeUnderContentionStaysBitwise)
-{
-    // Saturation: many re-merge requests race through the pipe; how
-    // many merges fire is timing-dependent, but every request's output
-    // must stay bitwise identical to its unpipelined forward, and
-    // merges must only pair requests with identical drop masks.
-    for (const char *name : {"transfuser", "medical-seg"}) {
-        auto w = models::WorkloadRegistry::instance().createDefault(
-            name, 0.35f);
-        w->train(false);
-        w->primeDegraded();
-        auto task = w->makeTask(19);
-        const int requests = 6;
-        const uint32_t masks[requests] = {0, 0, 0b0010, 0, 0b0010, 0};
-        std::vector<data::Batch> batches;
-        for (int r = 0; r < requests; ++r)
-            batches.push_back(task.sample(2));
-
-        std::vector<tensor::Tensor> reference;
-        for (int r = 0; r < requests; ++r) {
-            autograd::NoGradGuard no_grad;
-            pipeline::ScheduleOptions opts;
-            opts.policy = SchedPolicy::Sequential;
-            opts.dropMask = masks[r];
-            reference.push_back(
-                w->forwardGraph(batches[static_cast<size_t>(r)], opts)
-                    .value());
-        }
-
-        const pipeline::StageGraph &graph = w->stageGraph();
-        const pipeline::MemoryPlan &plan =
-            w->memoryPlan(SchedPolicy::Parallel);
-
-        for (int threads : {1, 4}) {
-            core::ScopedNumThreads guard(threads);
-            pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
-            std::vector<tensor::Tensor> outputs(
-                static_cast<size_t>(requests));
-            core::parallelFor(
-                0, requests, 1, [&](int64_t begin, int64_t end) {
-                    autograd::NoGradGuard no_grad;
-                    for (int64_t r = begin; r < end; ++r) {
-                        pipeline::PipeRequest req;
-                        req.batch = &batches[static_cast<size_t>(r)];
-                        req.dropMask = masks[r];
-                        req.remerge = true;
-                        req.mergeCap = 8;
-                        outputs[static_cast<size_t>(r)] =
-                            pipe.execute(req).output.value();
-                    }
-                });
-            for (int r = 0; r < requests; ++r)
-                expectBitwiseEqual(
-                    reference[static_cast<size_t>(r)],
-                    outputs[static_cast<size_t>(r)],
-                    std::string(name) + " remerge t" +
-                        std::to_string(threads) + " r" +
-                        std::to_string(r));
-            EXPECT_EQ(pipe.activeJobs(), 0);
-        }
-    }
 }
 
 // ------------------------------------------------ ready-list ordering
@@ -1461,6 +953,16 @@ struct PriorityProbeGraph
         return starts.size();
     }
 };
+
+data::Batch makeLatchBatch(int64_t rows, uint64_t seed)
+{
+    Rng rng(seed);
+    data::Batch b;
+    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
+    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
+    b.size = rows;
+    return b;
+}
 
 } // namespace
 

@@ -369,11 +369,12 @@ TEST(RunSpecParse, FusionKernelFlagsParseAndRoundTrip)
 {
     RunSpec spec;
     std::string error;
-    // --fusion is overloaded: a kind selects modality fusion, on/off
-    // toggles kernel fusion; both can appear in one command line.
+    // --fusion names the modality-fusion kind; --fusion-kernels
+    // toggles kernel fusion. Both can appear in one command line.
     ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--fusion", "concat", "--fusion",
-         "on", "--autotune", "force", "--perfdb", "/tmp/pdb.json"},
+        {"--workload", "av-mnist", "--fusion", "concat",
+         "--fusion-kernels", "on", "--autotune", "force", "--perfdb",
+         "/tmp/pdb.json"},
         &spec, &error))
         << error;
     EXPECT_TRUE(spec.hasFusion);
@@ -391,10 +392,11 @@ TEST(RunSpecParse, FusionKernelFlagsParseAndRoundTrip)
     EXPECT_EQ(reparsed.autotune, spec.autotune);
     EXPECT_EQ(reparsed.perfdb, spec.perfdb);
 
-    // --fusion off parses and stays the default.
+    // --fusion-kernels off parses and stays the default.
     spec = RunSpec();
     ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--fusion", "off"}, &spec, &error))
+        {"--workload", "av-mnist", "--fusion-kernels", "off"}, &spec,
+        &error))
         << error;
     EXPECT_FALSE(spec.fuseKernels);
     EXPECT_FALSE(spec.hasFusion);
@@ -416,13 +418,32 @@ TEST(RunSpecParse, FusionKernelFlagErrors)
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--autotune", "on"}, &spec, &error));
-    EXPECT_NE(error.find("--fusion on"), std::string::npos) << error;
+    EXPECT_NE(error.find("--fusion-kernels on"), std::string::npos)
+        << error;
 
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--perfdb", "/tmp/pdb.json"}, &spec,
         &error));
-    EXPECT_NE(error.find("--fusion on"), std::string::npos) << error;
+    EXPECT_NE(error.find("--fusion-kernels on"), std::string::npos)
+        << error;
+
+    // --fusion names only the modality-fusion kind: the old kernel
+    // fusion spelling fails and points at the new flag.
+    for (const char *value : {"on", "off"}) {
+        spec = RunSpec();
+        EXPECT_FALSE(runner::parseRunSpec(
+            {"--workload", "av-mnist", "--fusion", value}, &spec,
+            &error));
+        EXPECT_NE(error.find("--fusion-kernels"), std::string::npos)
+            << error;
+    }
+    spec = RunSpec();
+    EXPECT_FALSE(runner::parseRunSpec(
+        {"--workload", "av-mnist", "--fusion-kernels", "maybe"}, &spec,
+        &error));
+    EXPECT_NE(error.find("--fusion-kernels"), std::string::npos)
+        << error;
 
     // --autotune force against a read-only perf-db fails at parse
     // time (permission bits, so the check also holds for root).
@@ -435,7 +456,7 @@ TEST(RunSpecParse, FusionKernelFlagErrors)
     ASSERT_EQ(::chmod(ro.c_str(), 0444), 0);
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--fusion", "on", "--autotune",
+        {"--workload", "av-mnist", "--fusion-kernels", "on", "--autotune",
          "force", "--perfdb", ro},
         &spec, &error));
     EXPECT_NE(error.find("read-only"), std::string::npos) << error;
@@ -445,7 +466,7 @@ TEST(RunSpecParse, FusionKernelFlagErrors)
     // A writable db (or a missing file) is fine.
     spec = RunSpec();
     EXPECT_TRUE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--fusion", "on", "--autotune",
+        {"--workload", "av-mnist", "--fusion-kernels", "on", "--autotune",
          "force", "--perfdb",
          tempPath("mmbench_new_perfdb", ".json")},
         &spec, &error))
@@ -1179,9 +1200,10 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
     EXPECT_NE(error.find("--pipeline"), std::string::npos);
 
     // Batching is --max-batch plus --batch-wait-us alone: the removed
-    // batcher selector and its alias are unknown flags.
-    for (const char *flag : {"--batcher", "--coalesce"}) {
-        for (const char *value : {"continuous", "static", "4"}) {
+    // batcher selector, its alias and in-flight re-merge are unknown
+    // flags.
+    for (const char *flag : {"--batcher", "--coalesce", "--remerge"}) {
+        for (const char *value : {"continuous", "static", "4", "on"}) {
             spec = RunSpec();
             EXPECT_FALSE(runner::parseRunSpec(
                 {"--workload", "av-mnist", "--mode", "serve",
@@ -1334,107 +1356,6 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     EXPECT_FALSE(spec_json->has("batcher"));
     EXPECT_EQ(spec_json->find("batch_wait_us")->intValue(), 300);
     EXPECT_TRUE(spec_json->find("pipeline")->boolValue());
-}
-
-// -------------------------------------------------- in-flight re-merge
-
-TEST(RunSpecParse, RemergeFlagParsesAndRoundTrips)
-{
-    RunSpec spec;
-    std::string error;
-    ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "on"},
-        &spec, &error))
-        << error;
-    EXPECT_TRUE(spec.remerge);
-
-    RunSpec reparsed;
-    ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
-        << error;
-    EXPECT_TRUE(reparsed.remerge);
-    EXPECT_TRUE(reparsed.pipelineServe);
-    EXPECT_EQ(reparsed.maxBatch, 8);
-
-    // Explicit off parses, and off is the default.
-    spec = RunSpec();
-    ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "off"},
-        &spec, &error))
-        << error;
-    EXPECT_FALSE(spec.remerge);
-    EXPECT_FALSE(RunSpec().remerge);
-}
-
-TEST(RunSpecParse, RemergeFlagErrors)
-{
-    RunSpec spec;
-    std::string error;
-
-    // Re-merge lives inside the stage pipeline.
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--max-batch", "8", "--remerge", "on"},
-        &spec, &error));
-    EXPECT_NE(error.find("--pipeline"), std::string::npos) << error;
-
-    // A merge can never fire when one request already fills the cap.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--pipeline", "on", "--remerge",
-         "on"},
-        &spec, &error));
-    EXPECT_NE(error.find("--max-batch"), std::string::npos) << error;
-
-    // Only on/off are accepted.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--max-batch", "8", "--pipeline", "on", "--remerge", "maybe"},
-        &spec, &error));
-    EXPECT_NE(error.find("--remerge"), std::string::npos) << error;
-}
-
-TEST(Runner, RemergeServeJsonCarriesCountersOnlyWhenOn)
-{
-    RunSpec spec;
-    spec.workload = "transfuser";
-    spec.mode = RunMode::Serve;
-    spec.batch = 2;
-    spec.sizeScale = 0.35f;
-    spec.inflight = 2;
-    spec.requests = 8;
-    spec.arrival = pipeline::ArrivalKind::Fixed;
-    spec.rateRps = 2000.0;
-    spec.maxBatch = 4;
-    spec.batchWaitUs = 300;
-    spec.pipelineServe = true;
-    spec.remerge = true;
-
-    const JsonValue on = recordFor(spec, "remerge_on");
-    const JsonValue *spec_json = on.find("spec");
-    ASSERT_NE(spec_json, nullptr);
-    EXPECT_TRUE(spec_json->find("remerge")->boolValue());
-    const JsonValue *serve = on.find("serve");
-    ASSERT_NE(serve, nullptr);
-    ASSERT_TRUE(serve->has("remerged_waves"));
-    ASSERT_TRUE(serve->has("remerged_requests"));
-    EXPECT_GE(serve->find("remerged_waves")->intValue(), 0);
-    EXPECT_GE(serve->find("remerged_requests")->intValue(),
-              serve->find("remerged_waves")->intValue());
-
-    // Off-path records must stay byte-compatible: no re-merge keys.
-    spec.remerge = false;
-    const JsonValue off = recordFor(spec, "remerge_off");
-    const JsonValue *off_spec = off.find("spec");
-    ASSERT_NE(off_spec, nullptr);
-    EXPECT_FALSE(off_spec->has("remerge"));
-    const JsonValue *off_serve = off.find("serve");
-    ASSERT_NE(off_serve, nullptr);
-    EXPECT_FALSE(off_serve->has("remerged_waves"));
-    EXPECT_FALSE(off_serve->has("remerged_requests"));
 }
 
 TEST(Runner, CoalesceBatchesSkipsTargetsOnTheServePath)

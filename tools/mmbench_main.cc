@@ -61,8 +61,13 @@ usage(FILE *to)
         "  run  [spec flags]       run RunSpecs on the shared runner\n"
         "       --workload NAME    registered workload (required unless "
         "--smoke)\n"
-        "       --fusion KIND      fusion implementation (default: the\n"
+        "       --fusion KIND      modality-fusion kind (default: the\n"
         "                          workload's canonical fusion)\n"
+        "       --fusion-kernels on|off  fused Linear/Conv/norm+act "
+        "kernels via\n"
+        "                          the solver registry (default off); "
+        "needed\n"
+        "                          by --autotune and --perfdb\n"
         "       --mode MODE        infer (default), train or serve\n"
         "       --batch N[,N...]   batch size sweep (default 8)\n"
         "       --threads N[,N...] worker-thread sweep (default: pool)\n"
